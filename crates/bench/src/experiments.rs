@@ -10,9 +10,18 @@
 use crate::datasets::{matrix_data, nesting_data, wikipedia_data};
 use crate::gbps;
 use gompresso_baselines::{BlockParallel, Codec, Lz4Like, Miniflate, SnappyLike, ZstdLike};
-use gompresso_core::{compress, decompress_with, CompressorConfig, DecompressorConfig, ResolutionStrategy};
+use gompresso_core::{
+    compress, decompress_with, CompressedFile, CompressorConfig, CostModel, Decompressor, DecompressorConfig,
+    ResolutionStrategy, SimulationReport,
+};
 use gompresso_energy::EnergyModel;
 use std::time::Instant;
+
+/// The simulated Tesla K40 run of `file` under `config` — the source of
+/// every GPU figure below.
+fn simulate_k40(file: &CompressedFile, config: &DecompressorConfig) -> SimulationReport {
+    Decompressor::new(config.clone()).simulate(file, &CostModel::tesla_k40()).expect("simulation failed")
+}
 
 /// Section V setup: gzip-class compression ratios of the two datasets.
 #[derive(Debug, Clone)]
@@ -68,9 +77,10 @@ pub fn fig9a_strategy_comparison(size: usize) -> Vec<Fig9aRow> {
                 if strategy == ResolutionStrategy::DependencyEliminated { &de.file } else { &plain.file };
             let dconf = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
             let start = Instant::now();
-            let (restored, report) = decompress_with(file, &dconf).expect("decompression failed");
+            let (restored, _) = decompress_with(file, &dconf).expect("decompression failed");
             let host = restored.len() as f64 / start.elapsed().as_secs_f64();
             assert_eq!(restored, data, "round-trip failure in fig9a");
+            let report = simulate_k40(file, &dconf);
             // Mean resolution rounds per warp group: meaningful for MRR (the
             // quantity in the paper's discussion), 1 by construction for DE,
             // and not applicable for SC (every back-reference is its own
@@ -113,7 +123,7 @@ pub fn fig9b_bytes_per_round(size: usize) -> Vec<Fig9bRow> {
             strategy: ResolutionStrategy::MultiRound.into(),
             ..DecompressorConfig::default()
         };
-        let (_, report) = decompress_with(&file.file, &dconf).expect("decompression failed");
+        let report = simulate_k40(&file.file, &dconf);
         for round in 1..=report.mrr.max_rounds() {
             rows.push(Fig9bRow {
                 dataset: name.to_string(),
@@ -151,9 +161,10 @@ pub fn fig9c_nesting_depth(size: usize, depths: &[u32]) -> Vec<Fig9cRow> {
                 ..DecompressorConfig::default()
             };
             let start = Instant::now();
-            let (restored, report) = decompress_with(&file.file, &dconf).expect("decompression failed");
+            let (restored, _) = decompress_with(&file.file, &dconf).expect("decompression failed");
             let host_time_ms = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(restored, data, "round-trip failure in fig9c");
+            let report = simulate_k40(&file.file, &dconf);
             Fig9cRow {
                 depth,
                 mean_rounds: report.mrr.mean_rounds(),
@@ -217,9 +228,10 @@ pub fn fig12_block_size(size: usize, block_sizes: &[usize]) -> Vec<Fig12Row> {
         .map(|&block_size| {
             let config = CompressorConfig { block_size, ..CompressorConfig::bit_de() };
             let out = compress(&data, &config).expect("compression failed");
-            let (restored, report) =
-                decompress_with(&out.file, &DecompressorConfig::default()).expect("decompression failed");
+            let dconf = DecompressorConfig::default();
+            let (restored, _) = decompress_with(&out.file, &dconf).expect("decompression failed");
             assert_eq!(restored, data, "round-trip failure in fig12");
+            let report = simulate_k40(&out.file, &dconf);
             Fig12Row { block_size, speed_gbps: gbps(report.gpu_bandwidth_in_out()), ratio: out.stats.ratio() }
         })
         .collect()
@@ -281,10 +293,8 @@ pub fn fig13_speed_vs_ratio(size: usize, dataset: &str) -> Vec<Fig13Row> {
     // Gompresso GPU configurations (estimated on the K40 model).
     let bit = compress(&data, &CompressorConfig::bit_de()).expect("compression failed");
     let byte = compress(&data, &CompressorConfig::byte_de()).expect("compression failed");
-    let (_, bit_report) =
-        decompress_with(&bit.file, &DecompressorConfig::default()).expect("decompression failed");
-    let (_, byte_report) =
-        decompress_with(&byte.file, &DecompressorConfig::default()).expect("decompression failed");
+    let bit_report = simulate_k40(&bit.file, &DecompressorConfig::default());
+    let byte_report = simulate_k40(&byte.file, &DecompressorConfig::default());
 
     rows.push(Fig13Row {
         system: "Gomp/Bit (In/Out)".to_string(),

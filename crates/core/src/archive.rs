@@ -300,7 +300,6 @@ impl<R: Read + Seek> ArchiveReader<R> {
                 let entry = index.entry(idx);
                 counter.fetch_add(1, Ordering::Relaxed);
                 decompress_block_checked(config, &entry.config, coder, idx, payload, entry.checksum, dst)
-                    .map(|_| ())
                     .map_err(|e| e.into_block_err(idx as u64, format, entry.compressed_offset))
             })
             .collect();

@@ -4,10 +4,12 @@
 //!
 //! * **inter-block** — every data block is independent; blocks are handed to
 //!   a rayon thread pool, standing in for the GPU grid of thread groups;
-//! * **intra-block** — within each block, a simulated 32-lane warp performs
+//! * **intra-block** — within each block, the paper's 32-lane warp performs
 //!   parallel Huffman decoding (one sub-block per lane, Gompresso/Bit only)
 //!   followed by warp-level LZ77 decompression with the block's
-//!   back-reference resolution strategy.
+//!   back-reference resolution strategy. The host interleaves sub-block
+//!   bitstreams per worker and executes the decoded sequences in order;
+//!   the warp itself exists only in the simulation (see below).
 //!
 //! Since the v3 container every block carries its own [`BlockConfig`], so a
 //! single file may mix Huffman and byte-coded blocks and mix resolution
@@ -15,13 +17,23 @@
 //! ([`StrategySelection::Planned`]) and can force one strategy file-wide for
 //! experiments ([`StrategySelection::Force`], the paper's Figure 9a sweep).
 //!
-//! The simulated kernels charge instruction, memory and round counters that
-//! the Tesla K40 cost model turns into the GPU time estimates reported in
-//! [`DecompressionReport`].
+//! Host decoding and the simulated GPU are separate paths over the same
+//! per-block decode:
+//!
+//! * **execute** — [`Decompressor::decompress`] (and the stream, range and
+//!   salvage decoders built on the same block body) parses each block,
+//!   entropy-decodes its sequences and runs them through the wide-copy
+//!   executor of `gompresso-lz77`. No warp is simulated and no counter is
+//!   charged.
+//! * **model** — [`Decompressor::simulate`] re-runs the block decode with
+//!   the warp charging switched on and walks every block through
+//!   [`decompress_block_warp`], whose instruction, memory and round
+//!   counters the Tesla K40 cost model turns into the GPU time estimates
+//!   of a [`SimulationReport`].
 
-use crate::stats::{DecompressionReport, MrrStats};
+use crate::stats::{DecompressionReport, GpuEstimate, MrrStats, SimulationReport};
 use crate::strategy::{ResolutionStrategy, StrategySelection};
-use crate::warp_lz77::decompress_block_warp;
+use crate::warp_lz77::{check_de_block, decompress_block_warp};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::{
@@ -60,8 +72,6 @@ pub struct DecompressorConfig {
     /// and fail with [`GompressoError::DependencyEliminationViolated`] if
     /// the block was not compressed with Dependency Elimination.
     pub validate_de: bool,
-    /// GPU device / PCIe model used for the time estimates.
-    pub cost_model: CostModel,
     /// Hard ceiling on the decompressed output size the decompressor will
     /// allocate (default 4 GiB). Together with the per-block payload
     /// plausibility bound this keeps a crafted header from requesting an
@@ -80,23 +90,29 @@ impl Default for DecompressorConfig {
         DecompressorConfig {
             strategy: StrategySelection::Planned,
             validate_de: false,
-            cost_model: CostModel::tesla_k40(),
             max_output_size: 4 << 30,
             verify_checksums: true,
         }
     }
 }
 
+impl DecompressorConfig {
+    /// Whether a block resolved with `strategy` must pass the DE check.
+    fn checks_de(&self, strategy: ResolutionStrategy) -> bool {
+        self.validate_de && strategy == ResolutionStrategy::DependencyEliminated
+    }
+}
+
 /// Gompresso decompressor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Decompressor {
     config: DecompressorConfig,
 }
 
 /// Decompresses `file` with the default configuration (per-block planned
-/// strategies, K40 cost model).
+/// strategies, checksums verified).
 pub fn decompress(file: &CompressedFile) -> Result<(Vec<u8>, DecompressionReport)> {
-    Decompressor::new(DecompressorConfig::default()).decompress(file)
+    Decompressor::default().decompress(file)
 }
 
 /// Decompresses `file` with an explicit configuration.
@@ -107,22 +123,23 @@ pub fn decompress_with(
     Decompressor::new(config.clone()).decompress(file)
 }
 
-/// Per-block result produced by the parallel phase. The decompressed bytes
-/// land directly in the block's slice of the shared output buffer; only the
-/// simulation by-products travel back through the result.
-pub(crate) struct BlockResult {
+/// Model by-products of one simulated block.
+struct BlockSimulation {
+    /// Huffman decode kernel counters (bit-mode blocks only).
     decode_counters: Option<WarpCounters>,
     lz77_counters: WarpCounters,
     mrr: MrrStats,
 }
 
 /// Per-worker decode scratch: the block-level sequence/literal buffers, the
-/// interleaved-decode lane staging and the per-sub-block stats vector.
+/// interleaved-decode lane staging, the per-sub-block stats vector and the
+/// output buffer simulated blocks are walked into.
 #[derive(Default)]
 struct DecodeScratch {
     seq_block: SequenceBlock,
     interleave: InterleaveScratch,
     stats: Vec<SubBlockStats>,
+    simulated: Vec<u8>,
 }
 
 thread_local! {
@@ -144,8 +161,9 @@ impl Decompressor {
         &self.config
     }
 
-    /// Decompresses an in-memory Gompresso file, returning the original data
-    /// and a full report (counters, MRR statistics, GPU time estimates).
+    /// Decompresses an in-memory Gompresso file on the host, returning the
+    /// original data and a report of sizes and wall time. GPU estimates come
+    /// from [`Decompressor::simulate`].
     ///
     /// The output buffer is allocated exactly once; every worker writes its
     /// blocks' bytes directly into the block's disjoint slice of that
@@ -154,22 +172,7 @@ impl Decompressor {
     pub fn decompress(&self, file: &CompressedFile) -> Result<(Vec<u8>, DecompressionReport)> {
         let start = Instant::now();
         let header = &file.header;
-        header.validate()?;
-        let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
-
-        // Before allocating `uncompressed_size` bytes, bound the header's
-        // claim: the total must not exceed the configured output ceiling,
-        // every block's payload-declared size must agree with the header,
-        // and no block may claim more output than its payload bytes could
-        // plausibly expand to — so neither a corrupt nor a crafted header
-        // can trigger an enormous allocation backed by a tiny payload.
-        if header.uncompressed_size > self.config.max_output_size {
-            return Err(GompressoError::Format(gompresso_format::FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: header.uncompressed_size,
-            }));
-        }
-        validate_declared_sizes(file)?;
+        let coder = self.validated_coder(file)?;
 
         let mut output = vec![0u8; header.uncompressed_size as usize];
         let mut work: Vec<(usize, &[u8], &mut [u8])> = Vec::with_capacity(file.blocks.len());
@@ -180,7 +183,7 @@ impl Decompressor {
             work.push((idx, payload.bytes.as_slice(), dst));
         }
 
-        let results: Vec<Result<BlockResult>> = work
+        let results: Vec<Result<()>> = work
             .into_par_iter()
             .map(|(idx, payload, dst)| {
                 decompress_block_checked(
@@ -191,6 +194,48 @@ impl Decompressor {
                     payload,
                     header.block_checksums.get(idx).copied(),
                     dst,
+                )
+                .map_err(|e| e.in_block(idx as u64, None))
+            })
+            .collect();
+        for result in results {
+            result?;
+        }
+
+        let report = DecompressionReport {
+            uncompressed_size: header.uncompressed_size,
+            compressed_size: file.compressed_size() as u64,
+            wall_seconds: start.elapsed().as_secs_f64(),
+        };
+        Ok((output, report))
+    }
+
+    /// Runs `file` through the simulated GPU: every block is decoded with
+    /// the Huffman decode kernel's warp charging on and walked through the
+    /// warp-level LZ77 kernel ([`decompress_block_warp`]) under the
+    /// configured strategy selection, and `cost` turns the collected
+    /// counters into kernel and PCIe time estimates.
+    ///
+    /// The same validation as [`Decompressor::decompress`] applies (header
+    /// sizes, `validate_de`, checksums when enabled), so a file that fails
+    /// to decompress fails to simulate. The walked bytes are discarded.
+    pub fn simulate(&self, file: &CompressedFile, cost: &CostModel) -> Result<SimulationReport> {
+        let header = &file.header;
+        let coder = self.validated_coder(file)?;
+
+        let results: Vec<Result<BlockSimulation>> = file
+            .blocks
+            .par_iter()
+            .enumerate()
+            .map(|(idx, payload)| {
+                simulate_block(
+                    &self.config,
+                    header.block_config(idx),
+                    &coder,
+                    idx,
+                    &payload.bytes,
+                    header.block_checksums.get(idx).copied(),
+                    header.block_uncompressed_size(idx) as usize,
                 )
                 .map_err(|e| e.in_block(idx as u64, None))
             })
@@ -209,31 +254,94 @@ impl Decompressor {
         }
 
         let compressed_size = file.compressed_size() as u64;
-        let gpu = DecompressionReport::estimate(
-            &self.config.cost_model,
+        let gpu = GpuEstimate::from_counters(
+            cost,
             &decode_counters,
             &lz77_counters,
             header.max_codeword_len(),
             compressed_size,
             header.uncompressed_size,
         );
-        let report = DecompressionReport {
+        Ok(SimulationReport {
             uncompressed_size: header.uncompressed_size,
             compressed_size,
-            wall_seconds: start.elapsed().as_secs_f64(),
             decode_counters,
             lz77_counters,
             mrr,
             gpu,
-        };
-        Ok((output, report))
+        })
+    }
+
+    /// Validates the header and — before anything of `uncompressed_size` is
+    /// allocated — bounds its claim: the total must not exceed the
+    /// configured output ceiling, every block's payload-declared size must
+    /// agree with the header, and no block may claim more output than its
+    /// payload bytes could plausibly expand to, so neither a corrupt nor a
+    /// crafted header can trigger an enormous allocation backed by a tiny
+    /// payload. Returns the file's token coder.
+    fn validated_coder(&self, file: &CompressedFile) -> Result<TokenCoder> {
+        let header = &file.header;
+        header.validate()?;
+        let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
+        if header.uncompressed_size > self.config.max_output_size {
+            return Err(GompressoError::Format(gompresso_format::FormatError::InvalidHeaderField {
+                field: "uncompressed_size",
+                value: header.uncompressed_size,
+            }));
+        }
+        validate_declared_sizes(file)?;
+        Ok(coder)
     }
 }
 
+/// Parses one block payload and entropy-decodes its sequences into the
+/// worker's scratch, then checks the decoded length against the `declared`
+/// size the caller sized its output from (header-derived for the in-memory
+/// path, payload-declared and bounds-checked for the streaming path), so a
+/// mismatch means the payload decoded to something else entirely. `model`,
+/// when given, is charged for the Huffman decode kernel (bit mode only).
+fn decode_sequences(
+    scratch: &mut DecodeScratch,
+    block: &BlockConfig,
+    coder: &TokenCoder,
+    payload: &[u8],
+    declared: usize,
+    model: Option<&mut Warp>,
+) -> Result<()> {
+    let seq_block = &mut scratch.seq_block;
+    let mut r = ByteReader::new(payload);
+    match block.mode {
+        EncodingMode::Bit => {
+            let bit = BitBlock::deserialize(&mut r)?;
+            decode_bit_block(
+                &bit,
+                coder,
+                payload.len(),
+                seq_block,
+                &mut scratch.interleave,
+                &mut scratch.stats,
+                model,
+            )?;
+        }
+        EncodingMode::Byte => ByteBlock::deserialize(&mut r)?.decode_into(seq_block)?,
+    }
+    if seq_block.uncompressed_len != declared {
+        return Err(GompressoError::OutputSizeMismatch {
+            declared: declared as u64,
+            produced: seq_block.uncompressed_len as u64,
+        });
+    }
+    Ok(())
+}
+
 /// Decodes one block payload into `dst` under the block's recorded config,
-/// reusing the per-worker decode scratch. Shared by the in-memory
-/// [`Decompressor`] and the streaming pipeline in [`crate::stream`], so both
-/// paths apply identical resolution strategies and size validation.
+/// reusing the per-worker decode scratch: parse, entropy decode, size check,
+/// the DE check when `validate_de` applies, then sequence execution with the
+/// wide-copy kernels (which reject zero offsets, offsets before the block,
+/// literal overruns and length mismatches). Shared by the in-memory
+/// [`Decompressor`], the streaming pipeline in [`crate::stream`], the
+/// random-access reader and salvage, so every path applies identical
+/// resolution strategies and validation.
 pub(crate) fn decompress_block_into(
     config: &DecompressorConfig,
     block: &BlockConfig,
@@ -241,53 +349,52 @@ pub(crate) fn decompress_block_into(
     block_index: usize,
     payload: &[u8],
     dst: &mut [u8],
-) -> Result<BlockResult> {
+) -> Result<()> {
     DECODE_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let scratch = &mut *scratch;
-        let seq_block = &mut scratch.seq_block;
-        let decode_counters = match block.mode {
-            EncodingMode::Bit => {
-                let mut r = ByteReader::new(payload);
-                let bit = BitBlock::deserialize(&mut r)?;
-                let warp = decode_bit_block(
-                    &bit,
-                    coder,
-                    payload.len(),
-                    seq_block,
-                    &mut scratch.interleave,
-                    &mut scratch.stats,
-                )?;
-                Some(warp.into_counters())
-            }
-            EncodingMode::Byte => {
-                let mut r = ByteReader::new(payload);
-                let byte = ByteBlock::deserialize(&mut r)?;
-                byte.decode_into(seq_block)?;
-                None
-            }
-        };
-
-        // `dst` is sized from the block's *declared* uncompressed size
-        // (header-derived for the in-memory path, payload-declared and
-        // bounds-checked for the streaming path), so a mismatch here means
-        // the payload decoded to something else entirely.
-        if seq_block.uncompressed_len != dst.len() {
-            return Err(GompressoError::OutputSizeMismatch {
-                declared: dst.len() as u64,
-                produced: seq_block.uncompressed_len as u64,
-            });
+        let scratch = &mut *scratch.borrow_mut();
+        decode_sequences(scratch, block, coder, payload, dst.len(), None)?;
+        if config.checks_de(config.strategy.resolve(block)) {
+            check_de_block(&scratch.seq_block, block_index)?;
         }
+        gompresso_lz77::decompress_block_into(&scratch.seq_block, dst)?;
+        Ok(())
+    })
+}
 
+/// The model counterpart of [`decompress_block_checked`]: decodes the block
+/// with the decode kernel charged, walks it through the warp LZ77 kernel
+/// into the worker's scratch buffer and applies the same checks.
+fn simulate_block(
+    config: &DecompressorConfig,
+    block: &BlockConfig,
+    coder: &TokenCoder,
+    block_index: usize,
+    payload: &[u8],
+    checksum: Option<u64>,
+    declared: usize,
+) -> Result<BlockSimulation> {
+    DECODE_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let mut decode_warp = (block.mode == EncodingMode::Bit).then(Warp::new);
+        decode_sequences(scratch, block, coder, payload, declared, decode_warp.as_mut())?;
         let strategy = config.strategy.resolve(block);
+        let out = &mut scratch.simulated;
+        out.resize(declared, 0);
         let outcome = decompress_block_warp(
-            seq_block,
+            &scratch.seq_block,
             strategy,
-            config.validate_de && strategy == ResolutionStrategy::DependencyEliminated,
+            config.checks_de(strategy),
             block_index,
-            dst,
+            out,
         )?;
-        Ok(BlockResult { decode_counters, lz77_counters: outcome.counters, mrr: outcome.mrr })
+        if config.verify_checksums {
+            verify_block_checksum(block_index as u64, checksum, out)?;
+        }
+        Ok(BlockSimulation {
+            decode_counters: decode_warp.map(Warp::into_counters),
+            lz77_counters: outcome.counters,
+            mrr: outcome.mrr,
+        })
     })
 }
 
@@ -318,12 +425,12 @@ pub(crate) fn decompress_block_checked(
     payload: &[u8],
     checksum: Option<u64>,
     dst: &mut [u8],
-) -> Result<BlockResult> {
-    let result = decompress_block_into(config, block, coder, block_index, payload, dst)?;
+) -> Result<()> {
+    decompress_block_into(config, block, coder, block_index, payload, dst)?;
     if config.verify_checksums {
         verify_block_checksum(block_index as u64, checksum, dst)?;
     }
-    Ok(result)
+    Ok(())
 }
 
 /// Format-derived expansion ceiling: byte mode is LZ4-style (a 255-chained
@@ -385,9 +492,11 @@ fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
 /// The host decode runs [`INTERLEAVE_STREAMS`] sub-block bitstreams
 /// concurrently per worker (round-robined table lookups over independent
 /// cursors — the instruction-level-parallel analogue of one sub-block per
-/// warp lane), while the warp counters are charged per lock-step group of
-/// [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly as the
-/// sequential walk charged them.
+/// warp lane). When `model` is given, the decode kernel's warp is charged
+/// for the payload read and the shared-memory LUTs, and then per lock-step
+/// group of [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly
+/// as the sequential walk charged them; the host path passes `None` and
+/// charges nothing.
 fn decode_bit_block(
     bit: &BitBlock,
     coder: &TokenCoder,
@@ -395,20 +504,20 @@ fn decode_bit_block(
     seq_block: &mut SequenceBlock,
     interleave: &mut InterleaveScratch,
     stats: &mut Vec<SubBlockStats>,
-) -> Result<Warp> {
-    let mut warp = Warp::new();
-
-    // The compressed block is staged in device memory; reading it is a
-    // coalesced streaming read.
-    warp.global_read(payload_bytes as u64, true);
-
-    // LUT construction into shared memory (charged once per block; on the
-    // GPU the group's threads cooperate on this).
+    mut model: Option<&mut Warp>,
+) -> Result<()> {
     let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
     let offset_dec = DecodeTable::new(&bit.offset_code)?;
-    let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
-    warp.shared_write(lut_bytes);
-    warp.charge_instructions(lut_bytes / 4);
+    if let Some(warp) = model.as_deref_mut() {
+        // The compressed block is staged in device memory; reading it is a
+        // coalesced streaming read.
+        warp.global_read(payload_bytes as u64, true);
+        // LUT construction into shared memory (charged once per block; on
+        // the GPU the group's threads cooperate on this).
+        let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
+        warp.shared_write(lut_bytes);
+        warp.charge_instructions(lut_bytes / 4);
+    }
 
     let n_sub_blocks = bit.sub_block_count();
     let sequences = &mut seq_block.sequences;
@@ -441,27 +550,33 @@ fn decode_bit_block(
             stats,
         )?;
         bit_cursor += bit.sub_block_bits[group_start..group_end].iter().map(|&b| u64::from(b)).sum::<u64>();
-
-        let mut max_lane_symbols = 0u64;
-        let mut group_sequences = 0u64;
-        let mut group_shared_reads = 0u64;
-        for sub_stats in stats.iter() {
-            let symbols = sub_stats.symbols();
-            max_lane_symbols = max_lane_symbols.max(symbols);
-            group_sequences += u64::from(sub_stats.sequences);
-            group_shared_reads += symbols * 4;
+        if let Some(warp) = model.as_deref_mut() {
+            charge_decode_group(warp, stats, literals.len() as u64);
         }
-        // Lock-step cost: the warp runs as long as its busiest lane.
-        warp.charge_instructions(max_lane_symbols * INSTR_PER_SYMBOL + SUB_BLOCK_OVERHEAD_INSTR);
-        warp.shared_read(group_shared_reads);
-        // The decoded token stream is written back to device memory for the
-        // LZ77 kernel (paper, Section III-B-1).
-        warp.global_write(group_sequences * TOKEN_STREAM_BYTES_PER_SEQ, true);
-        // Literal bytes also travel through the token stream.
-        warp.global_write(literals.len() as u64, true);
     }
+    Ok(())
+}
 
-    Ok(warp)
+/// Charges one lock-step group of the Huffman decode kernel; `literals` is
+/// the block's literal bytes decoded so far.
+fn charge_decode_group(warp: &mut Warp, stats: &[SubBlockStats], literals: u64) {
+    let mut max_lane_symbols = 0u64;
+    let mut group_sequences = 0u64;
+    let mut group_shared_reads = 0u64;
+    for sub_stats in stats {
+        let symbols = sub_stats.symbols();
+        max_lane_symbols = max_lane_symbols.max(symbols);
+        group_sequences += u64::from(sub_stats.sequences);
+        group_shared_reads += symbols * 4;
+    }
+    // Lock-step cost: the warp runs as long as its busiest lane.
+    warp.charge_instructions(max_lane_symbols * INSTR_PER_SYMBOL + SUB_BLOCK_OVERHEAD_INSTR);
+    warp.shared_read(group_shared_reads);
+    // The decoded token stream is written back to device memory for the
+    // LZ77 kernel (paper, Section III-B-1).
+    warp.global_write(group_sequences * TOKEN_STREAM_BYTES_PER_SEQ, true);
+    // Literal bytes also travel through the token stream.
+    warp.global_write(literals, true);
 }
 
 #[cfg(test)]
@@ -493,6 +608,14 @@ mod tests {
         c
     }
 
+    fn simulate_with(file: &CompressedFile, config: &DecompressorConfig) -> SimulationReport {
+        Decompressor::new(config.clone()).simulate(file, &CostModel::tesla_k40()).unwrap()
+    }
+
+    fn simulate(file: &CompressedFile) -> SimulationReport {
+        simulate_with(file, &DecompressorConfig::default())
+    }
+
     #[test]
     fn bit_mode_roundtrip_with_all_strategies() {
         let data = wiki_like(300_000);
@@ -504,6 +627,8 @@ mod tests {
             assert_eq!(report.uncompressed_size, data.len() as u64);
             assert!(report.compressed_size > 0);
             assert!(report.wall_seconds > 0.0);
+            let report = simulate_with(&out.file, &config);
+            assert_eq!(report.uncompressed_size, data.len() as u64);
             // Bit mode runs a decode kernel on every block.
             assert_eq!(report.decode_counters.warps as usize, out.file.blocks.len());
             assert_eq!(report.lz77_counters.warps as usize, out.file.blocks.len());
@@ -517,8 +642,9 @@ mod tests {
     fn byte_mode_roundtrip_and_fused_kernel() {
         let data = wiki_like(200_000);
         let out = compress(&data, &cfg_small(CompressorConfig::byte_de())).unwrap();
-        let (restored, report) = decompress(&out.file).unwrap();
+        let (restored, _) = decompress(&out.file).unwrap();
         assert_eq!(restored, data);
+        let report = simulate(&out.file);
         // Byte mode has no separate Huffman decode kernel.
         assert_eq!(report.decode_counters.warps, 0);
         assert_eq!(report.gpu.decode_kernel_s, 0.0);
@@ -568,8 +694,9 @@ mod tests {
             strategy: ResolutionStrategy::MultiRound.into(),
             ..DecompressorConfig::default()
         };
-        let (restored, report) = decompress_with(&plain_file.file, &mrr).unwrap();
+        let (restored, _) = decompress_with(&plain_file.file, &mrr).unwrap();
         assert_eq!(restored, data);
+        let report = simulate_with(&plain_file.file, &mrr);
         assert!(report.mrr.total_groups > 0);
         assert!(report.mrr.mean_rounds() >= 1.0);
     }
@@ -582,7 +709,7 @@ mod tests {
             strategy: ResolutionStrategy::MultiRound.into(),
             ..DecompressorConfig::default()
         };
-        let (_, report) = decompress_with(&out.file, &config).unwrap();
+        let report = simulate_with(&out.file, &config);
         let stats = &report.mrr;
         assert!(stats.total_groups > 0);
         assert!(!stats.bytes_per_round.is_empty());
@@ -597,8 +724,7 @@ mod tests {
         let mut estimates = Vec::new();
         for strategy in ResolutionStrategy::ALL {
             let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
-            let (_, report) = decompress_with(&out.file, &config).unwrap();
-            estimates.push((strategy, report.gpu.device_only_s()));
+            estimates.push((strategy, simulate_with(&out.file, &config).gpu.device_only_s()));
         }
         let sc = estimates[0].1;
         let mrr = estimates[1].1;
@@ -773,7 +899,7 @@ mod tests {
         let (restored, report) = decompress(&out.file).unwrap();
         assert!(restored.is_empty());
         assert_eq!(report.uncompressed_size, 0);
-        assert_eq!(report.gpu.device_only_s(), 0.0);
+        assert_eq!(simulate(&out.file).gpu.device_only_s(), 0.0);
     }
 
     #[test]
@@ -787,8 +913,8 @@ mod tests {
         let large =
             compress(&data, &CompressorConfig { block_size: 256 * 1024, ..CompressorConfig::bit_de() })
                 .unwrap();
-        let (_, small_report) = decompress(&small.file).unwrap();
-        let (_, large_report) = decompress(&large.file).unwrap();
+        let small_report = simulate(&small.file);
+        let large_report = simulate(&large.file);
         // Allow a modest tolerance: this corpus is far more compressible
         // than the paper's, so per-block effects (LUT amortisation vs
         // sub-block parallelism) sit within measurement slack of each
@@ -814,7 +940,7 @@ mod tests {
     fn gpu_estimate_reflects_pcie_ceiling_for_byte_mode() {
         let data = wiki_like(1 << 20);
         let out = compress(&data, &CompressorConfig::byte_de()).unwrap();
-        let (_, report) = decompress(&out.file).unwrap();
+        let report = simulate(&out.file);
         let no_pcie = report.gpu_bandwidth_no_pcie();
         let in_out = report.gpu_bandwidth_in_out();
         // Adding transfers can only slow things down, and the end-to-end

@@ -19,12 +19,13 @@
 //!   [`ResolutionStrategy::SequentialCopy`],
 //!   [`ResolutionStrategy::MultiRound`] (the ballot/shuffle MRR algorithm of
 //!   Figure 5) or [`ResolutionStrategy::DependencyEliminated`].
-//! * A transparent GPU cost estimate for every decompression run
-//!   ([`GpuEstimate`]), produced by the `gompresso-simt` device model from
-//!   the warp instruction/memory/round counters collected while the
-//!   simulated kernels execute. This stands in for the Tesla K40
-//!   measurements of the paper (see `DESIGN.md` for the substitution
-//!   rationale).
+//! * A transparent GPU cost estimate on demand
+//!   ([`Decompressor::simulate`] → [`SimulationReport`] / [`GpuEstimate`]),
+//!   produced by the `gompresso-simt` device model from the warp
+//!   instruction/memory/round counters collected while the simulated
+//!   kernels execute. This stands in for the Tesla K40 measurements of the
+//!   paper (see `DESIGN.md` for the substitution rationale). Host
+//!   decompression never runs the model.
 //!
 //! # Quick start
 //!
@@ -65,7 +66,7 @@ pub use fault::{FaultPlan, FaultReader, FaultWriter};
 pub use planner::{planner_for, AdaptivePlanner, BlockFeedback, Planner, StaticPlanner};
 pub use salvage::{decompress_salvage, salvage_file, BlockRecord, BlockStatus, RecoveryReport};
 pub use scan::{scan_count_lines, scan_filter_count, scan_filter_map, scan_lines, ScanOptions, ScanStats};
-pub use stats::{CompressionStats, DecompressionReport, GpuEstimate, MrrStats};
+pub use stats::{CompressionStats, DecompressionReport, GpuEstimate, MrrStats, SimulationReport};
 pub use strategy::{ResolutionStrategy, StrategySelection};
 pub use stream::{compress_file, decompress_file, StreamCompressor, StreamDecompressor, StreamStats};
 

@@ -212,8 +212,7 @@ fn salvage_decode_container_block(
     decompress_block_into(config, block, coder, idx, payload, dst)?;
     // Salvage always verifies, regardless of the caller's checksum policy:
     // the checksum is the evidence that the recovered bytes are original.
-    verify_block_checksum(idx as u64, header.block_checksums.get(idx).copied(), dst)?;
-    Ok(())
+    verify_block_checksum(idx as u64, header.block_checksums.get(idx).copied(), dst)
 }
 
 /// One frame successfully parsed and decoded during stream salvage.

@@ -153,32 +153,11 @@ impl GpuEstimate {
             uncompressed as f64 / seconds
         }
     }
-}
 
-/// Full report returned by the decompressor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecompressionReport {
-    /// Uncompressed output size in bytes.
-    pub uncompressed_size: u64,
-    /// Compressed input size in bytes.
-    pub compressed_size: u64,
-    /// Wall-clock decompression time on the host CPU in seconds.
-    pub wall_seconds: f64,
-    /// Counters of the (simulated) Huffman-decoding kernel.
-    pub decode_counters: KernelCounters,
-    /// Counters of the (simulated) LZ77 decompression kernel.
-    pub lz77_counters: KernelCounters,
-    /// MRR round statistics (empty unless the MRR strategy ran).
-    pub mrr: MrrStats,
-    /// Estimated GPU kernel and transfer times.
-    pub gpu: GpuEstimate,
-}
-
-impl DecompressionReport {
     /// Computes the GPU estimate for the collected counters under a given
     /// cost model and maximum codeword length (which determines the shared
     /// memory footprint and therefore the occupancy of the decode kernel).
-    pub fn estimate(
+    pub fn from_counters(
         cost: &CostModel,
         decode_counters: &KernelCounters,
         lz77_counters: &KernelCounters,
@@ -200,7 +179,21 @@ impl DecompressionReport {
             output_transfer_s: cost.output_transfer_s(uncompressed_size),
         }
     }
+}
 
+/// What a host decompression measured: sizes and wall time. Simulated GPU
+/// figures live in [`SimulationReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecompressionReport {
+    /// Uncompressed output size in bytes.
+    pub uncompressed_size: u64,
+    /// Compressed input size in bytes.
+    pub compressed_size: u64,
+    /// Wall-clock decompression time on the host CPU in seconds.
+    pub wall_seconds: f64,
+}
+
+impl DecompressionReport {
     /// Compression ratio of the decompressed file.
     pub fn ratio(&self) -> f64 {
         if self.compressed_size == 0 {
@@ -210,6 +203,32 @@ impl DecompressionReport {
         }
     }
 
+    /// Host (CPU) decompression bandwidth actually measured for this run.
+    pub fn host_bandwidth(&self) -> f64 {
+        GpuEstimate::bandwidth(self.uncompressed_size, self.wall_seconds)
+    }
+}
+
+/// Model output of [`crate::Decompressor::simulate`]: the simulated
+/// kernels' counters and the GPU time estimates derived from them. These
+/// are estimates for the modelled device, never host measurements.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimulationReport {
+    /// Uncompressed output size in bytes.
+    pub uncompressed_size: u64,
+    /// Compressed input size in bytes.
+    pub compressed_size: u64,
+    /// Counters of the (simulated) Huffman-decoding kernel.
+    pub decode_counters: KernelCounters,
+    /// Counters of the (simulated) LZ77 decompression kernel.
+    pub lz77_counters: KernelCounters,
+    /// MRR round statistics (empty unless the MRR strategy ran).
+    pub mrr: MrrStats,
+    /// Estimated GPU kernel and transfer times.
+    pub gpu: GpuEstimate,
+}
+
+impl SimulationReport {
     /// Estimated GPU decompression bandwidth without PCIe transfers.
     pub fn gpu_bandwidth_no_pcie(&self) -> f64 {
         GpuEstimate::bandwidth(self.uncompressed_size, self.gpu.device_only_s())
@@ -223,11 +242,6 @@ impl DecompressionReport {
     /// Estimated GPU bandwidth including both transfers.
     pub fn gpu_bandwidth_in_out(&self) -> f64 {
         GpuEstimate::bandwidth(self.uncompressed_size, self.gpu.with_io_s())
-    }
-
-    /// Host (CPU) decompression bandwidth actually measured for this run.
-    pub fn host_bandwidth(&self) -> f64 {
-        GpuEstimate::bandwidth(self.uncompressed_size, self.wall_seconds)
     }
 }
 

@@ -946,8 +946,7 @@ fn decode_stream_block(
     // of the destination was written (stale bytes can never leak — a
     // failing block's buffer is dropped, not emitted).
     out.resize(declared as usize, 0);
-    decompress_block_into(config, block, coder, idx as usize, payload, out)?;
-    Ok(())
+    decompress_block_into(config, block, coder, idx as usize, payload, out)
 }
 
 /// Verifies a decoded block against the content checksum its v4 frame

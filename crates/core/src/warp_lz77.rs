@@ -28,12 +28,20 @@
 //! LZ77 execution is deterministic regardless of resolution order — and the
 //! counters, being pure functions of the sequence metadata, are
 //! byte-for-byte what the copying simulation charged.
+//!
+//! The walk is the *model*, not the host decoder: only
+//! [`crate::Decompressor::simulate`] runs it. Host decodes execute the
+//! sequences directly and, when asked to validate Dependency Elimination,
+//! run `check_de_block` — the walk's own DE check without the charging.
+//! [`warp_walks`] counts walks process-wide, so tests can prove the host
+//! paths never enter the model.
 
 use crate::stats::MrrStats;
 use crate::strategy::ResolutionStrategy;
 use crate::{GompressoError, Result};
 use gompresso_lz77::{decompress_block_into, Lz77Error, Sequence, SequenceBlock};
 use gompresso_simt::{Warp, WarpCounters, WarpMask, WARP_SIZE};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes copied per simulated copy-loop iteration. GPU decompressors copy a
 /// word at a time; 4 bytes is the conservative figure for unaligned output.
@@ -52,6 +60,16 @@ const MRR_ROUND_OVERHEAD_INSTR: u64 = 24;
 /// Bytes of token-stream data read per sequence (token structs are 12 bytes
 /// in a typical GPU layout: literal length, match length, offset).
 const SEQ_TOKEN_BYTES: u64 = 12;
+
+/// Warp-model walks started in this process (see [`warp_walks`]).
+static WARP_WALKS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of [`decompress_block_warp`] calls made so far in this process.
+/// Host decoding never calls it, so the count moves only under
+/// [`crate::Decompressor::simulate`] (and direct callers of the walk).
+pub fn warp_walks() -> u64 {
+    WARP_WALKS.load(Ordering::Relaxed)
+}
 
 /// Result of decompressing one block on one simulated warp.
 ///
@@ -110,6 +128,7 @@ pub fn decompress_block_warp(
             produced: output.len() as u64,
         });
     }
+    WARP_WALKS.fetch_add(1, Ordering::Relaxed);
     let mut warp = Warp::new();
     let mut mrr = MrrStats::default();
     let mut out_cursor = 0u64;
@@ -139,11 +158,7 @@ pub fn decompress_block_warp(
             }
         }
 
-        // Advance the block cursors past this group.
-        let group_literals: u64 = lanes[..active].iter().map(|l| l.literal_len).sum();
-        let group_output: u64 = lanes[..active].iter().map(|l| l.literal_len + l.match_len).sum();
-        literal_cursor += group_literals;
-        out_cursor += group_output;
+        advance_cursors(&lanes[..active], &mut out_cursor, &mut literal_cursor);
         warp.charge_instructions(GROUP_OVERHEAD_INSTR);
     }
 
@@ -179,20 +194,33 @@ fn prepare_group(
     warp.global_read(SEQ_TOKEN_BYTES * active as u64, true);
     warp.charge_instructions(SEQ_PARSE_INSTR);
 
+    // Prefix sum 1 locates each lane's literals in the token stream, prefix
+    // sum 2 its output write offset. The warp charges both; `group_lanes`
+    // computes the same offsets linearly.
     let mut literal_lens = [0u64; WARP_SIZE];
     let mut output_lens = [0u64; WARP_SIZE];
     for (lane, seq) in group.iter().enumerate() {
         literal_lens[lane] = u64::from(seq.literal_len);
         output_lens[lane] = u64::from(seq.literal_len) + u64::from(seq.match_len);
     }
+    warp.exclusive_prefix_sum(&literal_lens);
+    warp.exclusive_prefix_sum(&output_lens);
 
-    // Prefix sum 1: literal source offsets within the token stream (the
-    // warp charges the sum; the host walk no longer needs the per-lane
-    // source cursors since the bytes move in the sequential pass).
-    let (_literal_prefix, literal_total) = warp.exclusive_prefix_sum(&literal_lens);
-    // Prefix sum 2: output write offsets.
-    let (output_prefix, _output_total) = warp.exclusive_prefix_sum(&output_lens);
+    group_lanes(block, group, group_idx, out_cursor, literal_cursor)
+}
 
+/// Lane states of one group of sequences starting at the given block
+/// cursors, with the structural checks every lane must pass: the group's
+/// literals exist, back-references have a non-zero offset inside the block,
+/// and no lane writes past the declared block length.
+fn group_lanes(
+    block: &SequenceBlock,
+    group: &[Sequence],
+    group_idx: usize,
+    out_cursor: u64,
+    literal_cursor: u64,
+) -> Result<[LaneState; WARP_SIZE]> {
+    let literal_total: u64 = group.iter().map(|seq| u64::from(seq.literal_len)).sum();
     if literal_cursor + literal_total > block.literals.len() as u64 {
         return Err(GompressoError::Lz77(Lz77Error::LiteralOverrun {
             sequence: group_idx * WARP_SIZE,
@@ -202,8 +230,8 @@ fn prepare_group(
     }
 
     let mut lanes = [LaneState::default(); WARP_SIZE];
+    let mut out_start = out_cursor;
     for (lane, seq) in group.iter().enumerate() {
-        let out_start = out_cursor + output_prefix[lane];
         let state = LaneState {
             literal_len: u64::from(seq.literal_len),
             match_len: u64::from(seq.match_len),
@@ -232,8 +260,15 @@ fn prepare_group(
             });
         }
         lanes[lane] = state;
+        out_start = state.out_end();
     }
     Ok(lanes)
+}
+
+/// Moves the block cursors past one group's lanes.
+fn advance_cursors(lanes: &[LaneState], out_cursor: &mut u64, literal_cursor: &mut u64) {
+    *literal_cursor += lanes.iter().map(|l| l.literal_len).sum::<u64>();
+    *out_cursor += lanes.iter().map(|l| l.literal_len + l.match_len).sum::<u64>();
 }
 
 /// Step (b): charge each lane's literal copy (the bytes move in pass 2).
@@ -396,6 +431,24 @@ fn high_water_mark(lanes: &[LaneState; WARP_SIZE], active: usize, pending: u32) 
     }
 }
 
+/// The Dependency Elimination check of a warp walk under `validate_de`,
+/// without the walk: groups the block's sequences 32 at a time exactly as
+/// the warp does, applies the same structural lane checks, and fails with
+/// [`GompressoError::DependencyEliminationViolated`] when a back-reference
+/// reads bytes another lane's back-reference in its group writes. Host
+/// decodes run this in front of sequence execution, so `validate_de` means
+/// the same thing with and without the model.
+pub(crate) fn check_de_block(block: &SequenceBlock, block_index: usize) -> Result<()> {
+    let mut out_cursor = 0u64;
+    let mut literal_cursor = 0u64;
+    for (group_idx, group) in block.sequences.chunks(WARP_SIZE).enumerate() {
+        let lanes = group_lanes(block, group, group_idx, out_cursor, literal_cursor)?;
+        check_de_invariant(&lanes, group.len(), block_index)?;
+        advance_cursors(&lanes[..group.len()], &mut out_cursor, &mut literal_cursor);
+    }
+    Ok(())
+}
+
 /// DE validation: no lane's back-reference may read bytes written by another
 /// lane's back-reference in the same group.
 fn check_de_invariant(lanes: &[LaneState; WARP_SIZE], active: usize, block_index: usize) -> Result<()> {
@@ -479,6 +532,7 @@ mod tests {
         let block = Matcher::new(MatcherConfig::gompresso_de()).compress(&input);
         let (output, out) = run_warp(&block, ResolutionStrategy::DependencyEliminated, true, 7).unwrap();
         assert_eq!(output, input);
+        check_de_block(&block, 7).unwrap();
         // DE charges at most one resolution round per group.
         assert!(out.counters.rounds <= block.sequences.len().div_ceil(WARP_SIZE) as u64);
     }
@@ -497,6 +551,11 @@ mod tests {
             Err(GompressoError::DependencyEliminationViolated { block: 3 }) => {}
             other => panic!("expected DE violation for block 3, got {other:?}"),
         }
+        // The host-side check, run without the walk, agrees.
+        assert!(matches!(
+            check_de_block(&block, 3),
+            Err(GompressoError::DependencyEliminationViolated { block: 3 })
+        ));
         // Without validation the host-side copy is still correct.
         let (output, _) = run_warp(&block, ResolutionStrategy::DependencyEliminated, false, 3).unwrap();
         assert_eq!(output, input);
@@ -565,6 +624,7 @@ mod tests {
             run_warp(&bad, ResolutionStrategy::MultiRound, false, 0),
             Err(GompressoError::Lz77(Lz77Error::ZeroOffset { .. }))
         ));
+        assert!(matches!(check_de_block(&bad, 0), Err(GompressoError::Lz77(Lz77Error::ZeroOffset { .. }))));
 
         // Offset reaching before the block.
         let bad = SequenceBlock {
@@ -576,6 +636,10 @@ mod tests {
             run_warp(&bad, ResolutionStrategy::DependencyEliminated, false, 0),
             Err(GompressoError::Lz77(Lz77Error::OffsetBeforeStart { .. }))
         ));
+        assert!(matches!(
+            check_de_block(&bad, 0),
+            Err(GompressoError::Lz77(Lz77Error::OffsetBeforeStart { .. }))
+        ));
 
         // Literal overrun.
         let bad = SequenceBlock {
@@ -585,6 +649,10 @@ mod tests {
         };
         assert!(matches!(
             run_warp(&bad, ResolutionStrategy::SequentialCopy, false, 0),
+            Err(GompressoError::Lz77(Lz77Error::LiteralOverrun { .. }))
+        ));
+        assert!(matches!(
+            check_de_block(&bad, 0),
             Err(GompressoError::Lz77(Lz77Error::LiteralOverrun { .. }))
         ));
 

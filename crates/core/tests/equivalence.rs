@@ -1,21 +1,24 @@
 //! Fast path ≡ old semantics.
 //!
 //! The zero-copy decompression rework (single-allocation output, fused LUT
-//! decode, per-worker scratch) must change *only* host data movement. This
-//! suite retains the previous implementation's behaviour as an executable
-//! reference — per-block output vectors merged with a final copy, fresh
-//! per-sub-block vectors, unfused peek/lookup/consume symbol decoding — and
-//! checks that for random inputs across {bit, byte} × {SC, MRR, DE}:
+//! decode, per-worker scratch) and the split of host execution from the
+//! warp model must change *only* host data movement. This suite retains
+//! the previous implementation's behaviour as an executable reference —
+//! per-block output vectors merged with a final copy, fresh per-sub-block
+//! vectors, unfused peek/lookup/consume symbol decoding, a warp walk on
+//! every block — and checks that for random inputs across
+//! {bit, byte} × {SC, MRR, DE}:
 //!
-//! * the decompressed bytes are identical, and
-//! * the [`DecompressionReport`] GPU estimates (and the counters they are
+//! * the host decoder's bytes (`decompress_with`, which runs no model) are
+//!   identical to the reference's, and
+//! * the `Decompressor::simulate` GPU estimates (and the counters they are
 //!   computed from) are unchanged to the last ULP.
 
 use gompresso_bitstream::{BitReader, ByteReader};
 use gompresso_core::warp_lz77::decompress_block_warp;
 use gompresso_core::{
-    compress, decompress_with, CompressedFile, CompressorConfig, DecompressorConfig, EncodingMode,
-    ResolutionStrategy,
+    compress, decompress_with, CompressedFile, CompressorConfig, CostModel, Decompressor, DecompressorConfig,
+    EncodingMode, GpuEstimate, ResolutionStrategy,
 };
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
 use gompresso_format::{BitBlock, ByteBlock};
@@ -129,7 +132,7 @@ fn decode_bit_block_reference(
 fn reference_decompress(
     file: &CompressedFile,
     config: &DecompressorConfig,
-) -> (Vec<u8>, KernelCounters, KernelCounters, gompresso_core::GpuEstimate) {
+) -> (Vec<u8>, KernelCounters, KernelCounters, GpuEstimate) {
     let header = &file.header;
     header.validate().expect("reference header validation");
     let coder =
@@ -164,8 +167,8 @@ fn reference_decompress(
         lz77_counters.add_warp(&outcome.counters);
     }
 
-    let gpu = gompresso_core::DecompressionReport::estimate(
-        &config.cost_model,
+    let gpu = GpuEstimate::from_counters(
+        &CostModel::tesla_k40(),
         &decode_counters,
         &lz77_counters,
         header.max_codeword_len(),
@@ -208,11 +211,15 @@ proptest! {
             for strategy in ResolutionStrategy::ALL {
                 let dconf =
                     DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
-                let (fast_bytes, report) = decompress_with(&out.file, &dconf).expect("fast decompress");
+                let (fast_bytes, _) = decompress_with(&out.file, &dconf).expect("fast decompress");
+                let report = Decompressor::new(dconf.clone())
+                    .simulate(&out.file, &CostModel::tesla_k40())
+                    .expect("simulate");
                 let (ref_bytes, ref_decode, ref_lz77, ref_gpu) = reference_decompress(&out.file, &dconf);
 
                 prop_assert_eq!(&fast_bytes, &input, "fast path lost bytes ({})", strategy);
                 prop_assert_eq!(&fast_bytes, &ref_bytes, "fast path diverged from reference ({})", strategy);
+                prop_assert_eq!(report.uncompressed_size, input.len() as u64);
 
                 // Counters feed the cost model; they must match exactly.
                 prop_assert_eq!(&report.decode_counters, &ref_decode, "decode counters ({})", strategy);

@@ -6,11 +6,24 @@
 
 use gompresso::datasets::{DatasetGenerator, NestingGenerator, WikipediaGenerator};
 use gompresso::{
-    compress, decompress_with, CompressedOutput, CompressorConfig, DecompressorConfig, EncodingMode,
-    ResolutionStrategy, StrategySelection,
+    compress, decompress_with, CompressedFile, CompressedOutput, CompressorConfig, CostModel, Decompressor,
+    DecompressorConfig, EncodingMode, ResolutionStrategy, SimulationReport, StrategySelection,
 };
 
 const SIZE: usize = 4 * 1024 * 1024;
+
+/// Decompresses `file` on the host (checking the round trip against
+/// `original`), then runs it through the simulated Tesla K40 for the GPU
+/// figures.
+fn decode_and_simulate(
+    file: &CompressedFile,
+    config: DecompressorConfig,
+    original: &[u8],
+) -> SimulationReport {
+    let (out, _) = decompress_with(file, &config).expect("decompress");
+    assert_eq!(out, original);
+    Decompressor::new(config).simulate(file, &CostModel::tesla_k40()).expect("simulate")
+}
 
 /// Per-block plan histogram of a compressed file: how many blocks landed on
 /// each (mode, strategy, DE) combination.
@@ -41,8 +54,7 @@ fn main() {
             strategy: StrategySelection::Force(ResolutionStrategy::MultiRound),
             ..Default::default()
         };
-        let (out, report) = decompress_with(&file.file, &config).expect("decompress");
-        assert_eq!(out, data);
+        let report = decode_and_simulate(&file.file, config, &data);
         println!(
             "   {depth:>5}   {:>15.2}   {:>10.2} ms",
             report.mrr.mean_rounds(),
@@ -66,8 +78,7 @@ fn main() {
         ("DE  on DE file   ", &de.file, ResolutionStrategy::DependencyEliminated),
     ] {
         let config = DecompressorConfig { strategy: strategy.into(), ..Default::default() };
-        let (out, report) = decompress_with(file, &config).expect("decompress");
-        assert_eq!(out, data);
+        let report = decode_and_simulate(file, config, &data);
         println!(
             "   {label}: est. GPU {:.2} GB/s (device only), warp utilization {:.0} %",
             report.gpu_bandwidth_no_pcie() / 1e9,
@@ -80,9 +91,7 @@ fn main() {
     for block_kb in [32usize, 64, 128, 256] {
         let config = CompressorConfig { block_size: block_kb * 1024, ..CompressorConfig::bit_de() };
         let out = compress(&data, &config).expect("compress");
-        let (restored, report) =
-            decompress_with(&out.file, &DecompressorConfig::default()).expect("decompress");
-        assert_eq!(restored, data);
+        let report = decode_and_simulate(&out.file, DecompressorConfig::default(), &data);
         println!(
             "   {block_kb:>4} KB  {:>6.3}   {:>13.3}   {:>8.2}",
             out.stats.ratio(),
@@ -114,9 +123,7 @@ fn main() {
         ("auto  ", CompressorConfig::auto()),
     ] {
         let out = compress(&mixed, &config).expect("compress");
-        let (restored, report) =
-            decompress_with(&out.file, &DecompressorConfig::default()).expect("decompress");
-        assert_eq!(restored, mixed);
+        let report = decode_and_simulate(&out.file, DecompressorConfig::default(), &mixed);
         println!(
             "   {label}   {:>6.3}   {:>13.3}   {:>8.2}",
             out.stats.ratio(),

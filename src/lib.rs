@@ -6,14 +6,17 @@
 //! reproduction maps onto the ICPP 2016 paper.
 //!
 //! ```
-//! use gompresso::{compress, decompress, CompressorConfig};
+//! use gompresso::{compress, decompress, CompressorConfig, CostModel, Decompressor};
 //!
 //! let data = b"compress me, decompress me, massively in parallel ".repeat(64);
 //! let out = compress(&data, &CompressorConfig::bit_de()).unwrap();
+//! // Host decode: bytes, sizes and wall time.
 //! let (restored, report) = decompress(&out.file).unwrap();
 //! assert_eq!(restored, data);
-//! println!("ratio {:.2}, est. GPU speed {:.1} GB/s",
-//!          out.stats.ratio(), report.gpu_bandwidth_no_pcie() / 1e9);
+//! // Simulated Tesla K40: the warp model runs only when asked for.
+//! let k40 = Decompressor::default().simulate(&out.file, &CostModel::tesla_k40()).unwrap();
+//! println!("ratio {:.2}, host {:.2} GB/s, est. K40 {:.1} GB/s",
+//!          out.stats.ratio(), report.host_bandwidth() / 1e9, k40.gpu_bandwidth_no_pcie() / 1e9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -26,8 +29,8 @@ pub use gompresso_core::{
     BlockStatus, CompressedFile, CompressedOutput, CompressionStats, Compressor, CompressorConfig, CostModel,
     DecompressionReport, Decompressor, DecompressorConfig, EncodingMode, FaultPlan, FaultReader, FaultWriter,
     FileSettings, GompressoError, GpuDeviceModel, GpuEstimate, MrrStats, PcieLink, Planner, PlanningMode,
-    RecoveryReport, ResolutionStrategy, ScanOptions, ScanStats, StaticPlanner, StrategySelection,
-    StreamCompressor, StreamDecompressor, StreamStats,
+    RecoveryReport, ResolutionStrategy, ScanOptions, ScanStats, SimulationReport, StaticPlanner,
+    StrategySelection, StreamCompressor, StreamDecompressor, StreamStats,
 };
 
 /// Low-level building blocks re-exported for advanced users (custom codecs,

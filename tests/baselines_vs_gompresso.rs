@@ -4,7 +4,7 @@
 use gompresso::baselines::{BlockParallel, Codec, Lz4Like, Miniflate, SnappyLike, ZstdLike};
 use gompresso::datasets::{DatasetGenerator, WikipediaGenerator};
 use gompresso::energy::EnergyModel;
-use gompresso::{compress, CompressorConfig};
+use gompresso::{compress, CompressorConfig, CostModel, Decompressor};
 
 const SIZE: usize = 2 * 1024 * 1024;
 
@@ -71,8 +71,9 @@ fn byte_level_codecs_trade_ratio_for_speed() {
         byte.stats.ratio()
     );
 
-    let (_, bit_report) = gompresso::decompress(&bit.file).unwrap();
-    let (_, byte_report) = gompresso::decompress(&byte.file).unwrap();
+    let k40 = |file| Decompressor::default().simulate(file, &CostModel::tesla_k40()).unwrap();
+    let bit_report = k40(&bit.file);
+    let byte_report = k40(&byte.file);
     assert!(
         byte_report.gpu.device_only_s() < bit_report.gpu.device_only_s(),
         "byte mode should be faster on the device: {} vs {}",

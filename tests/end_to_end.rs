@@ -3,11 +3,17 @@
 
 use gompresso::datasets::{DatasetGenerator, MatrixMarketGenerator, NestingGenerator, WikipediaGenerator};
 use gompresso::{
-    compress, decompress, decompress_with, CompressedFile, CompressorConfig, DecompressorConfig,
-    EncodingMode, ResolutionStrategy, StreamCompressor, StreamDecompressor,
+    compress, decompress, decompress_with, CompressedFile, CompressorConfig, CostModel, Decompressor,
+    DecompressorConfig, EncodingMode, ResolutionStrategy, SimulationReport, StreamCompressor,
+    StreamDecompressor,
 };
 
 const SIZE: usize = 2 * 1024 * 1024;
+
+/// The simulated Tesla K40 run of `file` under `config`.
+fn simulate_k40(file: &CompressedFile, config: DecompressorConfig) -> SimulationReport {
+    Decompressor::new(config).simulate(file, &CostModel::tesla_k40()).unwrap()
+}
 
 fn all_datasets() -> Vec<(&'static str, Vec<u8>)> {
     vec![
@@ -72,8 +78,9 @@ fn de_strategy_on_de_file_is_validated_and_single_round() {
         validate_de: true,
         ..DecompressorConfig::default()
     };
-    let (restored, report) = decompress_with(&out.file, &config).unwrap();
+    let (restored, _) = decompress_with(&out.file, &config).unwrap();
     assert_eq!(restored, data);
+    let report = simulate_k40(&out.file, config);
     // One resolution round per warp group at most (each block rounds its
     // final partial group up, hence the per-block slack).
     let rounds: u64 = report.lz77_counters.totals.rounds;
@@ -88,8 +95,7 @@ fn gpu_estimates_rank_strategies_like_the_paper() {
     let de = compress(&data, &CompressorConfig::byte_de()).unwrap();
     let time = |file, strategy: ResolutionStrategy| {
         let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
-        let (_, report) = decompress_with(file, &config).unwrap();
-        report.gpu.device_only_s()
+        simulate_k40(file, config).gpu.device_only_s()
     };
     let sc = time(&plain.file, ResolutionStrategy::SequentialCopy);
     let mrr = time(&plain.file, ResolutionStrategy::MultiRound);
@@ -109,9 +115,9 @@ fn deeper_nesting_costs_more_mrr_rounds() {
             strategy: ResolutionStrategy::MultiRound.into(),
             ..DecompressorConfig::default()
         };
-        let (restored, report) = decompress_with(&out.file, &config).unwrap();
+        let (restored, _) = decompress_with(&out.file, &config).unwrap();
         assert_eq!(restored, data);
-        report.mrr.mean_rounds()
+        simulate_k40(&out.file, config).mrr.mean_rounds()
     };
     let shallow_rounds = rounds(&shallow);
     let deep_rounds = rounds(&deep);
