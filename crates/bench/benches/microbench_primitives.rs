@@ -7,7 +7,7 @@ use gompresso_bench::wikipedia_data;
 use gompresso_bitstream::{BitReader, BitWriter};
 use gompresso_format::token_code::TokenCoder;
 use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, PairTable, StripeCounters};
+use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters};
 use gompresso_lz77::{
     common_prefix_len, decompress_block_into, decompress_block_reference, Matcher, MatcherConfig, Sequence,
     SequenceBlock,
@@ -197,25 +197,6 @@ fn bench_huffman(c: &mut Criterion) {
             w.finish().len()
         });
     });
-    group.bench_function("encode_slice_1mib", |b| {
-        // The fused bulk path the block encoder uses for literal runs.
-        b.iter(|| {
-            let mut w = BitWriter::with_capacity(encoded.len());
-            enc.encode_slice(&mut w, &data).unwrap();
-            w.finish().len()
-        });
-    });
-    group.bench_function("encode_slice_paired_1mib", |b| {
-        // The multi-symbol path: two literals per table hit through the
-        // 64K-entry fused pair table.
-        let mut pairs = PairTable::new();
-        pairs.rebuild(&enc);
-        b.iter(|| {
-            let mut w = BitWriter::with_capacity(encoded.len());
-            enc.encode_slice_paired(&mut w, &data, &pairs).unwrap();
-            w.finish().len()
-        });
-    });
     group.bench_function("histogram_flat_1mib", |b| {
         // Single 256-counter array: every byte bumps the same cache lines,
         // so repeated bytes serialize on store-to-load forwarding.
@@ -361,46 +342,24 @@ fn bench_interleaved_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_interleaved_encode(c: &mut Criterion) {
-    // Interleaved multi-lane sub-block encode at S = 1/2/4/8 against the
-    // single-writer sequential emitter, over a realistic 1 MiB block. The
-    // decode side rewards interleaving (it hides the serial peek → lookup →
-    // consume chain); this case tracks whether the write side ever does.
+fn bench_block_encode(c: &mut Criterion) {
+    // The production block encoder (both passes) over a realistic 1 MiB
+    // block, with the scratch warm as it is on a worker.
     let data = wikipedia_data(1 << 20);
     let cfg = MatcherConfig::gompresso();
     let coder =
         TokenCoder::new(cfg.min_match_len as u32, cfg.max_match_len as u32, cfg.window_size as u32).unwrap();
     let block = Matcher::new(cfg).compress(&data);
 
-    let mut group = c.benchmark_group("micro_interleave_encode");
+    let mut group = c.benchmark_group("micro_block_encode");
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.sample_size(10);
-    group.bench_function("sequential_emit", |b| {
+    group.bench_function("encode_with_scratch_1mib", |b| {
         let mut scratch = EncodeScratch::new();
         b.iter(|| {
-            BitBlock::encode_sequential_with_scratch(&block, &coder, 16, 10, &mut scratch)
-                .unwrap()
-                .bitstream
-                .len()
+            BitBlock::encode_with_scratch(&block, &coder, 16, 10, &mut scratch).unwrap().bitstream.len()
         });
     });
-    macro_rules! encode_case {
-        ($s:literal) => {
-            group.bench_function(concat!("interleaved_s", $s), |b| {
-                let mut scratch = EncodeScratch::new();
-                b.iter(|| {
-                    BitBlock::encode_sub_blocks_interleaved::<$s>(&block, &coder, 16, 10, &mut scratch)
-                        .unwrap()
-                        .bitstream
-                        .len()
-                });
-            });
-        };
-    }
-    encode_case!(1);
-    encode_case!(2);
-    encode_case!(4);
-    encode_case!(8);
     group.finish();
 }
 
@@ -468,7 +427,7 @@ criterion_group!(
     bench_huffman,
     bench_wild_copy,
     bench_interleaved_decode,
-    bench_interleaved_encode,
+    bench_block_encode,
     bench_lut_layout,
     bench_matcher
 );

@@ -89,58 +89,6 @@ impl BitWriter {
         self.write_bits(u32::from(bit), 1);
     }
 
-    /// Resets the writer to empty, keeping the byte allocation.
-    ///
-    /// The interleaved block encoder reuses one writer per lane across all
-    /// sub-block chunks of a file; this is the per-chunk reset.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.acc = 0;
-        self.nbits = 0;
-    }
-
-    /// Appends every bit of `other` (in order) to this stream.
-    ///
-    /// This is the lane-drain primitive of the interleaved sub-block
-    /// encoder: each lane stages one sub-block into its own writer and the
-    /// result is spliced back into the block stream at an arbitrary bit
-    /// offset. The splice is exact — the combined stream is bit-identical
-    /// to writing `other`'s content directly — and runs word-at-a-time: one
-    /// shift/or pair and one 8-byte store per 64 appended bits, instead of
-    /// re-walking `other`'s content through the symbol-level API.
-    pub fn append_writer(&mut self, other: &BitWriter) {
-        if self.nbits == 0 {
-            // Byte-aligned: splice is a plain byte copy plus adopting the
-            // partial accumulator.
-            self.bytes.extend_from_slice(&other.bytes);
-            self.acc = other.acc;
-            self.nbits = other.nbits;
-            return;
-        }
-        // Misaligned: shift each 64-bit word of `other` up by the pending
-        // bit count, carrying the displaced high bits into the next word.
-        let shift = self.nbits; // 1..=63
-        let mut carry = self.acc;
-        let mut chunks = other.bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("chunk of 8 bytes"));
-            self.bytes.extend_from_slice(&(carry | word << shift).to_le_bytes());
-            carry = word >> (64 - shift);
-        }
-        self.acc = carry;
-        for &byte in chunks.remainder() {
-            self.write_bits(u32::from(byte), 8);
-        }
-        // `other`'s partial accumulator can hold up to 63 pending bits;
-        // `write_bits_u64` takes at most 62, so split it in two. Bits of
-        // `acc` at and above `nbits` are zero by invariant, so the halves
-        // need no masking beyond the 32-bit split.
-        self.write_bits_u64(other.acc & u64::from(u32::MAX), other.nbits.min(32));
-        if other.nbits > 32 {
-            self.write_bits_u64(other.acc >> 32, other.nbits - 32);
-        }
-    }
-
     /// Number of complete bits written so far.
     pub fn bit_len(&self) -> u64 {
         self.bytes.len() as u64 * 8 + u64::from(self.nbits)
@@ -281,46 +229,6 @@ mod tests {
             ref_bytes.push((ref_acc & 0xFF) as u8);
         }
         assert_eq!(w.finish(), ref_bytes);
-    }
-
-    #[test]
-    fn append_writer_matches_direct_writes_at_every_alignment() {
-        // Splicing a staged writer at any bit offset must reproduce the
-        // stream that direct writes would have produced.
-        for head_bits in 0..=67u32 {
-            for tail_bits in [0u32, 1, 7, 8, 13, 63, 64, 100, 200] {
-                let mut direct = BitWriter::new();
-                let mut spliced = BitWriter::new();
-                let mut staged = BitWriter::new();
-                let mut state = 0x9E37_79B9u32;
-                for i in 0..head_bits {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    let width = 1 + (i % 24);
-                    direct.write_bits(state, width);
-                    spliced.write_bits(state, width);
-                }
-                for i in 0..tail_bits {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    let width = 1 + ((i + 5) % 24);
-                    direct.write_bits(state, width);
-                    staged.write_bits(state, width);
-                }
-                spliced.append_writer(&staged);
-                assert_eq!(spliced.bit_len(), direct.bit_len(), "head {head_bits} tail {tail_bits}");
-                assert_eq!(spliced.finish(), direct.finish(), "head {head_bits} tail {tail_bits}");
-            }
-        }
-    }
-
-    #[test]
-    fn clear_resets_to_empty() {
-        let mut w = BitWriter::new();
-        w.write_bits(0xABCD, 16);
-        w.write_bits(0x5, 3);
-        w.clear();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0b101, 3);
-        assert_eq!(w.finish(), vec![0b0000_0101]);
     }
 
     #[test]

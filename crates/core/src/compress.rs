@@ -131,13 +131,11 @@ struct CompressedBlock {
 }
 
 fn compress_one(
-    index: usize,
     chunk: &[u8],
     settings: &FileSettings,
     plan: &BlockPlan,
     coder: &TokenCoder,
 ) -> Result<CompressedBlock> {
-    let _ = index;
     let start = Instant::now();
     let (payload, summary) = COMPRESS_SCRATCH.with(|scratch| {
         compress_block_with_scratch(chunk, settings, plan, coder, &mut scratch.borrow_mut())
@@ -195,11 +193,7 @@ impl Compressor {
         let per_block: Vec<Result<CompressedBlock>> = if !planner.is_adaptive() {
             // Static planning: one plan for every block, one flat pass.
             let plan = planner.plan(0, &[]);
-            chunks
-                .par_iter()
-                .enumerate()
-                .map(|(i, chunk)| compress_one(i, chunk, &settings, &plan, &coder))
-                .collect()
+            chunks.par_iter().map(|chunk| compress_one(chunk, &settings, &plan, &coder)).collect()
         } else {
             compress_adaptive(&chunks, &settings, planner.as_ref(), &coder)
         };
@@ -265,7 +259,7 @@ fn compress_adaptive(
         let mut results: Vec<Result<CompressedBlock>> = wave
             .par_iter()
             .enumerate()
-            .map(|(i, chunk)| compress_one(base + i, chunk, settings, &plans[i], coder))
+            .map(|(i, chunk)| compress_one(chunk, settings, &plans[i], coder))
             .collect();
         for (i, result) in results.iter().enumerate() {
             if let Ok(block) = result {

@@ -420,7 +420,7 @@ impl StreamCompressor {
         &self.config
     }
 
-    /// Compresses `reader` into `writer` using the v3 streaming framing.
+    /// Compresses `reader` into `writer` using the v4 streaming framing.
     /// The sink need not seek: the prelude totals stay at their sentinel
     /// and readers learn them from the trailer.
     pub fn compress<R: Read + Send, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {

@@ -416,6 +416,7 @@ fn configs() -> Vec<CompressorConfig> {
         small_blocks(CompressorConfig::byte_de()),
         small_blocks(CompressorConfig { strict_hwm: true, ..CompressorConfig::byte_de() }),
         small_blocks(CompressorConfig { chain_depth: 4, hash_bytes: 3, ..CompressorConfig::bit_de() }),
+        CompressorConfig { sequences_per_sub_block: 1, ..small_blocks(CompressorConfig::bit()) },
     ]
 }
 
@@ -446,4 +447,38 @@ proptest! {
             );
         }
     }
+}
+
+/// Codes longer than 16 bits through the block emitter's 62-bit group
+/// flush: byte frequencies growing ~1.8× per symbol give a deep,
+/// tie-free Huffman tree (Fibonacci-like growth ties during the merges
+/// and stays shallow), so at CWL 24 the rarest literals get codes well
+/// past 16 bits. Literals are shuffled so long and short codes interleave
+/// inside each packing group.
+#[test]
+fn codes_longer_than_16_bits_match_reference() {
+    let mut literals = Vec::new();
+    let mut freq = 1.0f64;
+    for sym in 0u8..20 {
+        literals.extend(std::iter::repeat_n(sym, freq.round() as usize));
+        freq *= 1.8;
+    }
+    let mut state = 0x2545_F491u32;
+    for i in (1..literals.len()).rev() {
+        state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+        literals.swap(i, (state as usize) % (i + 1));
+    }
+    let sequences: Vec<Sequence> =
+        literals.chunks(1000).map(|run| Sequence::literals_only(run.len() as u32)).collect();
+    let block = SequenceBlock { sequences, uncompressed_len: literals.len(), literals };
+    let coder = TokenCoder::new(3, 64, 8 * 1024).unwrap();
+
+    let fast = BitBlock::encode(&block, &coder, 16, 24).unwrap();
+    assert!(fast.lit_len_code.longest_used() > 16, "longest code {} bits", fast.lit_len_code.longest_used());
+    let reference = ref_bit_encode(&block, &coder, 16, 24);
+    assert_eq!(fast.sub_block_bits, reference.sub_block_bits);
+    let (mut fast_bytes, mut ref_bytes) = (ByteWriter::new(), ByteWriter::new());
+    fast.serialize(&mut fast_bytes);
+    reference.serialize(&mut ref_bytes);
+    assert!(fast_bytes.finish() == ref_bytes.finish(), "serialized block diverged from the reference");
 }

@@ -44,7 +44,7 @@ fn decode_symbol_unfused(dec: &DecodeTable, r: &mut BitReader<'_>) -> u16 {
 }
 
 /// Old-style sub-block decode: fresh vectors per sub-block, unfused symbol
-/// decoding, mirroring the pre-rework `BitBlock::decode_sub_block_with`.
+/// decoding.
 fn decode_sub_block_reference(
     bit: &BitBlock,
     index: usize,

@@ -35,115 +35,6 @@ impl EncodeTable {
         }
     }
 
-    /// Appends the code words for a slice of literal bytes to the bitstream.
-    ///
-    /// This is the fused bulk path of the bit-level block encoder: the
-    /// `(code, len)` pairs are read straight out of the table with no
-    /// per-symbol `Result` plumbing and no per-symbol bounds check (the
-    /// byte-valued symbols index a fixed 256-entry prefix of the table).
-    /// Encountering an uncoded byte still fails with
-    /// [`HuffmanError::UnknownSymbol`] exactly like [`Self::encode`]; the
-    /// writer contents are unspecified after an error, which callers treat
-    /// as fatal anyway.
-    pub fn encode_slice(&self, w: &mut BitWriter, bytes: &[u8]) -> Result<()> {
-        match self.codes.get(..256) {
-            Some(codes) => {
-                // Pack code words into a local 64-bit group and hand the
-                // writer one bulk append per ~50+ bits instead of one call
-                // per symbol. The group is flushed *before* a code that
-                // would not fit, so any legal code length (canonical codes
-                // allow up to 32 bits; the writer takes at most 62) is
-                // packed without shifting bits past the accumulator.
-                let mut group = 0u64;
-                let mut group_bits = 0u32;
-                for &b in bytes {
-                    let (code, len) = codes[usize::from(b)];
-                    if len == 0 {
-                        return Err(HuffmanError::UnknownSymbol(u16::from(b)));
-                    }
-                    let len = u32::from(len);
-                    if group_bits + len > 62 {
-                        w.write_bits_u64(group, group_bits);
-                        group = 0;
-                        group_bits = 0;
-                    }
-                    group |= u64::from(code) << group_bits;
-                    group_bits += len;
-                }
-                w.write_bits_u64(group, group_bits);
-                Ok(())
-            }
-            // Alphabets smaller than a byte (not produced by the token
-            // model, but legal for this table type) take the checked path.
-            None => bytes.iter().try_for_each(|&b| self.encode(w, u16::from(b))),
-        }
-    }
-
-    /// Appends the code words for a slice of literal bytes, consuming two
-    /// bytes per table hit where the pair table has a fused entry.
-    ///
-    /// Bit-identical to [`Self::encode_slice`]; the pair table only changes
-    /// how many accumulator visits the same bit sequence costs. Pairs whose
-    /// combined code length exceeds the fusion cap (and the odd tail byte)
-    /// fall back to the single-symbol path, so rare long codes keep
-    /// working. `pairs` must have been built from this table —
-    /// [`PairTable::rebuild`] per block, after the block's code is final.
-    pub fn encode_slice_paired(&self, w: &mut BitWriter, bytes: &[u8], pairs: &PairTable) -> Result<()> {
-        let codes = match self.codes.get(..256) {
-            Some(codes) => codes,
-            None => return self.encode_slice(w, bytes),
-        };
-        let mut group = 0u64;
-        let mut group_bits = 0u32;
-        let mut chunks = bytes.chunks_exact(2);
-        for pair in &mut chunks {
-            let idx = usize::from(pair[0]) << 8 | usize::from(pair[1]);
-            let len = u32::from(pairs.lens[idx]);
-            if len != 0 {
-                if group_bits + len > 62 {
-                    w.write_bits_u64(group, group_bits);
-                    group = 0;
-                    group_bits = 0;
-                }
-                group |= u64::from(pairs.codes[idx]) << group_bits;
-                group_bits += len;
-                continue;
-            }
-            // No fused entry: either a byte is uncoded (error, as in
-            // encode_slice) or the combined length exceeds 32 bits.
-            for &b in pair {
-                let (code, len) = codes[usize::from(b)];
-                if len == 0 {
-                    return Err(HuffmanError::UnknownSymbol(u16::from(b)));
-                }
-                let len = u32::from(len);
-                if group_bits + len > 62 {
-                    w.write_bits_u64(group, group_bits);
-                    group = 0;
-                    group_bits = 0;
-                }
-                group |= u64::from(code) << group_bits;
-                group_bits += len;
-            }
-        }
-        if let [b] = chunks.remainder() {
-            let (code, len) = codes[usize::from(*b)];
-            if len == 0 {
-                return Err(HuffmanError::UnknownSymbol(u16::from(*b)));
-            }
-            let len = u32::from(len);
-            if group_bits + len > 62 {
-                w.write_bits_u64(group, group_bits);
-                group = 0;
-                group_bits = 0;
-            }
-            group |= u64::from(code) << group_bits;
-            group_bits += len;
-        }
-        w.write_bits_u64(group, group_bits);
-        Ok(())
-    }
-
     /// The raw `(bit-reversed code, length)` table prefix for byte-valued
     /// symbols, or `None` for sub-byte alphabets.
     ///
@@ -151,7 +42,7 @@ impl EncodeTable {
     /// accumulator before touching the bitstream writer (the block
     /// encoder's per-sequence group packing). Length 0 marks an uncoded
     /// byte — callers must treat it as [`HuffmanError::UnknownSymbol`],
-    /// exactly like [`Self::encode_slice`] does.
+    /// exactly like [`Self::encode`] does.
     pub fn literal_codes(&self) -> Option<&[(u32, u8)]> {
         self.codes.get(..256)
     }
@@ -203,78 +94,6 @@ impl EncodeTable {
     }
 }
 
-/// Multi-symbol (paired-literal) encode table.
-///
-/// For every ordered pair of literal bytes whose code words jointly fit in
-/// 32 bits, the table stores the pre-fused bit pattern
-/// `code(b0) | code(b1) << len(b0)` and the combined length, so
-/// [`EncodeTable::encode_slice_paired`] emits two symbols per table hit and
-/// accumulator visit. Length 0 marks pairs with no fused entry (a byte is
-/// uncoded, or the pair is too long to fuse) — the encoder falls back to
-/// single symbols there.
-///
-/// Building the table touches all 65 536 pairs, so it only pays off on
-/// blocks with enough literal bytes to amortize; callers gate on that (see
-/// the block encoder) and reuse one table's allocation across blocks via
-/// [`PairTable::rebuild`].
-#[derive(Debug, Clone, Default)]
-pub struct PairTable {
-    /// Fused `code(b0) | code(b1) << len(b0)` per pair index `b0 << 8 | b1`.
-    codes: Vec<u32>,
-    /// Combined code length per pair index; 0 = no fused entry.
-    lens: Vec<u8>,
-}
-
-impl PairTable {
-    /// Creates an empty, unbuilt table (no allocation until `rebuild`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The fused `(bits, combined length)` entry for the byte pair
-    /// `(b0, b1)`; length 0 means "no fused entry" (fall back to single
-    /// symbols). Returns the sentinel for an unbuilt table.
-    #[inline]
-    pub fn entry(&self, b0: u8, b1: u8) -> (u32, u8) {
-        let idx = usize::from(b0) << 8 | usize::from(b1);
-        match (self.codes.get(idx), self.lens.get(idx)) {
-            (Some(&code), Some(&len)) => (code, len),
-            _ => (0, 0),
-        }
-    }
-
-    /// (Re)builds the fused entries for `table`, reusing the allocation.
-    pub fn rebuild(&mut self, table: &EncodeTable) {
-        self.codes.clear();
-        self.codes.resize(1 << 16, 0);
-        self.lens.clear();
-        self.lens.resize(1 << 16, 0);
-        let singles = match table.codes.get(..256) {
-            Some(codes) => codes,
-            None => return, // sub-byte alphabet: leave unbuilt, callers fall back
-        };
-        for (b0, &(code0, len0)) in singles.iter().enumerate() {
-            if len0 == 0 {
-                continue;
-            }
-            let row_codes = &mut self.codes[b0 << 8..(b0 + 1) << 8];
-            let row_lens = &mut self.lens[b0 << 8..(b0 + 1) << 8];
-            // `len0` is loop-invariant here, so the row fill is a straight
-            // shift/or sweep the compiler can vectorize.
-            let shift = u32::from(len0);
-            for b1 in 0..256usize {
-                let (code1, len1) = singles[b1];
-                let total = u32::from(len0) + u32::from(len1);
-                if len1 == 0 || total > 32 {
-                    continue;
-                }
-                row_codes[b1] = code0 | code1 << shift;
-                row_lens[b1] = total as u8;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,91 +123,6 @@ mod tests {
         for &s in &symbols {
             assert_eq!(dec.decode(&mut r).unwrap(), s);
         }
-    }
-
-    #[test]
-    fn encode_slice_handles_codes_longer_than_16_bits() {
-        // A Kraft-complete set of lengths 1,2,…,24,24 over a 256-entry
-        // alphabet: codes up to 24 bits are legal for this table type, and
-        // the group packer must flush *before* a code that would not fit
-        // its 64-bit accumulator (the old fixed 46-bit flush rule silently
-        // shifted long codes past bit 63). The packed path must agree
-        // bit-for-bit with the per-symbol reference path.
-        let mut lengths = vec![0u8; 256];
-        for (i, len) in lengths.iter_mut().take(24).enumerate() {
-            *len = (i + 1) as u8;
-        }
-        lengths[24] = 24;
-        let code = CanonicalCode::from_lengths(&lengths, 24).unwrap();
-        let enc = EncodeTable::new(&code);
-        assert_eq!(enc.code_len(23), Some(24));
-
-        let bytes: Vec<u8> = (0..200u16).map(|i| ([24u16, 23, 0, 22, 24, 1][i as usize % 6]) as u8).collect();
-        let mut packed = BitWriter::new();
-        enc.encode_slice(&mut packed, &bytes).unwrap();
-        let mut reference = BitWriter::new();
-        for &b in &bytes {
-            enc.encode(&mut reference, u16::from(b)).unwrap();
-        }
-        assert_eq!(packed.finish(), reference.finish());
-    }
-
-    #[test]
-    fn paired_encode_is_bit_identical_to_single_encode() {
-        // Skewed byte distribution over the full alphabet.
-        let mut h = Histogram::new(257);
-        for b in 0u16..256 {
-            h.add_n(b, 1 + (b as u64 % 17) * (b as u64 % 3 + 1));
-        }
-        h.add_n(0, 5000);
-        h.add_n(101, 2000);
-        let code = CanonicalCode::from_histogram(&h, 12).unwrap();
-        let enc = EncodeTable::new(&code);
-        let mut pairs = PairTable::new();
-        pairs.rebuild(&enc);
-
-        let mut state = 0xDEAD_BEEFu32;
-        for len in [0usize, 1, 2, 3, 7, 256, 1001] {
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (state >> 17) as u8
-                })
-                .collect();
-            let mut single = BitWriter::new();
-            enc.encode_slice(&mut single, &bytes).unwrap();
-            let mut paired = BitWriter::new();
-            enc.encode_slice_paired(&mut paired, &bytes, &pairs).unwrap();
-            assert_eq!(paired.bit_len(), single.bit_len(), "len {len}");
-            assert_eq!(paired.finish(), single.finish(), "len {len}");
-        }
-    }
-
-    #[test]
-    fn paired_encode_falls_back_on_unfusable_pairs() {
-        // Kraft-complete lengths 1,2,…,24,24: pairs of the 24-bit codes
-        // exceed the 32-bit fusion cap and must take the fallback path.
-        let mut lengths = vec![0u8; 256];
-        for (i, len) in lengths.iter_mut().take(24).enumerate() {
-            *len = (i + 1) as u8;
-        }
-        lengths[24] = 24;
-        let code = CanonicalCode::from_lengths(&lengths, 24).unwrap();
-        let enc = EncodeTable::new(&code);
-        let mut pairs = PairTable::new();
-        pairs.rebuild(&enc);
-        let bytes: Vec<u8> = (0..201u16).map(|i| ([24u16, 23, 0, 22, 24, 1][i as usize % 6]) as u8).collect();
-        let mut single = BitWriter::new();
-        enc.encode_slice(&mut single, &bytes).unwrap();
-        let mut paired = BitWriter::new();
-        enc.encode_slice_paired(&mut paired, &bytes, &pairs).unwrap();
-        assert_eq!(paired.finish(), single.finish());
-        // Uncoded bytes still error.
-        let mut w = BitWriter::new();
-        assert!(matches!(
-            enc.encode_slice_paired(&mut w, &[24, 25], &pairs),
-            Err(HuffmanError::UnknownSymbol(25))
-        ));
     }
 
     #[test]

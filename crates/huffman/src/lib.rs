@@ -31,7 +31,7 @@ pub mod lengths;
 
 pub use canonical::{CanonicalCode, CodeEntry};
 pub use decoder::DecodeTable;
-pub use encoder::{EncodeTable, PairTable};
+pub use encoder::EncodeTable;
 pub use error::HuffmanError;
 pub use histogram::{Histogram, StripeCounters};
 pub use lengths::{code_lengths, limited_code_lengths};
