@@ -967,40 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_disparate_blocks_is_clean() {
-        // One scratch carried across blocks with very different histograms
-        // and sub-block shapes must not leak state from one encode into the
-        // next: every block encodes exactly as with a fresh scratch and
-        // decodes back to its own sequences.
-        let matcher = Matcher::new(MatcherConfig::default());
-        let noise: Vec<u8> = (0..700u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
-        let blocks = [
-            matcher.compress(&[0xFF; 700]),
-            SequenceBlock {
-                sequences: vec![Sequence::literals_only(700)],
-                literals: noise,
-                uncompressed_len: 700,
-            },
-            matcher.compress(&[]),
-            matcher.compress(b"a"),
-        ];
-        let mut scratch = EncodeScratch::new();
-        for per_sub_block in [1u32, 3, 4, 16] {
-            for (i, block) in blocks.iter().enumerate() {
-                let reused =
-                    BitBlock::encode_with_scratch(block, &coder(), per_sub_block, 10, &mut scratch).unwrap();
-                let fresh = BitBlock::encode(block, &coder(), per_sub_block, 10).unwrap();
-                assert_eq!(reused, fresh, "block {i}, {per_sub_block} per sub-block");
-                assert_eq!(
-                    &reused.decode_all(&coder()).unwrap(),
-                    block,
-                    "block {i}, {per_sub_block} per sub-block"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn corrupted_bitstream_errors_not_panics() {
         let input = b"corrupt me please corrupt me please".repeat(50);
         let (_, mut bit) = encode_input(&input, 16);

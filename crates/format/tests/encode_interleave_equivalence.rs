@@ -1,147 +1,108 @@
-//! Interleaved sub-block encode ≡ sequential sub-block encode.
+//! Block encoder edge cases ≡ what the interleaved decoder reads back.
 //!
-//! `BitBlock::encode_sub_blocks_interleaved::<S>` stages sub-block emission
-//! across `S` lane writers and splices them back in order; the serialized
-//! block must be byte-identical to the single-writer reference encoder for
-//! every lane count `S` — including sub-block counts not divisible by `S`,
-//! single-sequence sub-blocks, the short tail sub-block, and empty input —
-//! and the archives it produces must decode back to the exact sequences and
-//! literals that went in.
+//! `BitBlock::encode_with_scratch` emits the sub-blocks in order and records
+//! each one's bit size; the interleaved sub-block decoder finds every
+//! sub-block by those sizes alone. For empty and tiny blocks, and for one
+//! `EncodeScratch` carried across blocks with very different histograms and
+//! sub-block shapes, the encoded block must equal an encode with a fresh
+//! scratch field for field, its sub-block bit sizes must account for the
+//! whole bitstream, and decoding it with `S` interleaved streams, for every
+//! `S` under test, must give back the exact sequences and literals that went
+//! in.
 
 use gompresso_format::token_code::TokenCoder;
-use gompresso_format::{BitBlock, EncodeScratch};
+use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
 use gompresso_huffman::DecodeTable;
-use gompresso_lz77::{Matcher, MatcherConfig, SequenceBlock};
-use proptest::prelude::*;
+use gompresso_lz77::{Matcher, MatcherConfig, Sequence, SequenceBlock};
 
 fn coder() -> TokenCoder {
     TokenCoder::new(3, 64, 8 * 1024).unwrap()
-}
-
-/// Field-by-field equality of the serialized block: same codes, same
-/// bitstream bytes, same per-sub-block bit sizes.
-fn assert_identical(a: &BitBlock, b: &BitBlock, ctx: &str) {
-    assert_eq!(a.lit_len_code, b.lit_len_code, "{ctx}: lit/len code lengths");
-    assert_eq!(a.offset_code, b.offset_code, "{ctx}: offset code lengths");
-    assert_eq!(a.sub_block_bits, b.sub_block_bits, "{ctx}: sub-block bit sizes");
-    assert_eq!(a.bitstream, b.bitstream, "{ctx}: bitstream bytes");
-    assert_eq!(a.n_sequences, b.n_sequences, "{ctx}: sequence count");
-    assert_eq!(a.uncompressed_len, b.uncompressed_len, "{ctx}: uncompressed length");
-    assert_eq!(a.sequences_per_sub_block, b.sequences_per_sub_block, "{ctx}: granularity");
-}
-
-fn sequential_decode(bit: &BitBlock) -> (Vec<gompresso_lz77::Sequence>, Vec<u8>) {
-    let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
-    let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
-    let mut sequences = Vec::new();
-    let mut literals = Vec::new();
-    for i in 0..bit.sub_block_count() {
-        bit.decode_sub_block_into(i, &coder(), &lit_dec, &off_dec, &mut sequences, &mut literals).unwrap();
-    }
-    (sequences, literals)
-}
-
-/// Encodes `block` with every lane count under test and checks each result
-/// is byte-identical to the sequential reference encoder, and that decoding
-/// it reproduces the input sequences and literals exactly.
-fn check_all_lane_counts(block: &SequenceBlock, per_sub_block: u32) {
-    let coder = coder();
-    let mut scratch = EncodeScratch::new();
-    let reference =
-        BitBlock::encode_sequential_with_scratch(block, &coder, per_sub_block, 10, &mut scratch).unwrap();
-
-    macro_rules! check {
-        ($s:literal) => {{
-            let bit =
-                BitBlock::encode_sub_blocks_interleaved::<$s>(block, &coder, per_sub_block, 10, &mut scratch)
-                    .unwrap();
-            assert_identical(&bit, &reference, concat!("S = ", $s));
-        }};
-    }
-    check!(1);
-    check!(2);
-    check!(3);
-    check!(4);
-    check!(8);
-
-    // The default entry point must match the reference too.
-    let default_bit = BitBlock::encode_with_scratch(block, &coder, per_sub_block, 10, &mut scratch).unwrap();
-    assert_identical(&default_bit, &reference, "default encode_with_scratch");
-
-    let (seqs, lits) = sequential_decode(&reference);
-    assert_eq!(seqs, block.sequences, "decode round-trip: sequences");
-    assert_eq!(lits, block.literals, "decode round-trip: literals");
 }
 
 fn match_block(input: &[u8]) -> SequenceBlock {
     Matcher::new(MatcherConfig::default()).compress(input)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random compressible inputs across sub-block granularities, including
-    /// granularities that leave sub-block counts not divisible by any S.
-    #[test]
-    fn interleaved_encode_matches_sequential(
-        input in proptest::collection::vec(proptest::collection::vec(0u8..12, 1..50), 1..80)
-            .prop_map(|chunks| chunks.concat()),
-        per_sub_block in prop_oneof![Just(1u32), Just(2), Just(3), Just(5), Just(8), Just(16)],
-    ) {
-        check_all_lane_counts(&match_block(&input), per_sub_block);
-    }
-
-    /// Incompressible inputs: literal-heavy single-sequence sub-blocks.
-    #[test]
-    fn interleaved_encode_matches_sequential_on_random_data(
-        input in proptest::collection::vec(any::<u8>(), 0..2000),
-        per_sub_block in prop_oneof![Just(1u32), Just(4), Just(16)],
-    ) {
-        check_all_lane_counts(&match_block(&input), per_sub_block);
-    }
+/// Decodes every sub-block of `bit` in one interleaved call with `S` streams.
+fn interleaved_decode<const S: usize>(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>) {
+    let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
+    let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
+    let (mut sequences, mut literals, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+    bit.decode_sub_blocks_interleaved::<S>(
+        0,
+        bit.sub_block_count(),
+        0,
+        &coder(),
+        &lit_dec,
+        &off_dec,
+        &mut InterleaveScratch::default(),
+        &mut sequences,
+        &mut literals,
+        &mut stats,
+    )
+    .unwrap();
+    (sequences, literals)
 }
 
-#[test]
-fn sub_block_counts_not_divisible_by_lane_count() {
-    // Force specific sub-block counts around the lane-chunk boundaries:
-    // 1, S-1, S, S+1, 2S+3 sub-blocks for the S values under test.
-    let input = b"the quick brown fox jumps over the lazy dog, again and again and again. ".repeat(60);
-    let block = match_block(&input);
-    for target_sub_blocks in [1usize, 2, 3, 4, 5, 7, 9, 11] {
-        let per = (block.sequences.len().div_ceil(target_sub_blocks)).max(1) as u32;
-        check_all_lane_counts(&block, per);
+/// Encodes `block` with the caller's (possibly reused) `scratch` and checks
+/// the result against a fresh-scratch encode, the sub-block layout, and an
+/// interleaved decode at every stream count under test.
+fn check_encode(block: &SequenceBlock, per_sub_block: u32, scratch: &mut EncodeScratch, ctx: &str) {
+    let coder = coder();
+    let bit = BitBlock::encode_with_scratch(block, &coder, per_sub_block, 10, scratch).unwrap();
+    let fresh = BitBlock::encode(block, &coder, per_sub_block, 10).unwrap();
+    assert_eq!(bit, fresh, "{ctx}: reused vs fresh scratch");
+
+    assert_eq!(bit.n_sequences as usize, block.sequences.len(), "{ctx}: sequence count");
+    assert_eq!(bit.uncompressed_len as usize, block.uncompressed_len, "{ctx}: uncompressed length");
+    assert_eq!(
+        bit.sub_block_count(),
+        block.sequences.len().div_ceil(per_sub_block as usize),
+        "{ctx}: sub-block count"
+    );
+    let total_bits: u64 = bit.sub_block_bits.iter().map(|&b| u64::from(b)).sum();
+    assert_eq!(bit.bitstream.len() as u64, total_bits.div_ceil(8), "{ctx}: sub-block bits cover the stream");
+
+    macro_rules! check_streams {
+        ($($s:literal),+) => {$(
+            let (sequences, literals) = interleaved_decode::<$s>(&bit);
+            assert_eq!(sequences, block.sequences, "{ctx}: S = {}: sequences", $s);
+            assert_eq!(literals, block.literals, "{ctx}: S = {}: literals", $s);
+        )+};
     }
+    check_streams!(1, 2, 3, 4, 8);
 }
 
 #[test]
 fn empty_and_tiny_blocks() {
-    check_all_lane_counts(&match_block(&[]), 4);
-    check_all_lane_counts(&match_block(b"a"), 1);
-    check_all_lane_counts(&match_block(b"ab"), 16);
-    check_all_lane_counts(&match_block(&b"x".repeat(300)), 2);
+    let mut scratch = EncodeScratch::new();
+    check_encode(&match_block(&[]), 4, &mut scratch, "empty");
+    check_encode(&match_block(b"a"), 1, &mut scratch, "one byte");
+    check_encode(&match_block(b"ab"), 16, &mut scratch, "two bytes");
+    check_encode(&match_block(&b"x".repeat(300)), 2, &mut scratch, "one-byte run");
 }
 
 #[test]
 fn scratch_reuse_across_disparate_blocks_is_clean() {
-    // One scratch reused across blocks with very different histograms and
-    // sub-block shapes must not leak state between encodes.
-    let coder = coder();
-    let mut scratch = EncodeScratch::new();
-    let inputs: [&[u8]; 4] = [
-        &b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"[..],
-        &[0xFFu8; 700],
-        b"interleaved encode scratch reuse across disparate blocks",
-        &[],
+    // One scratch carried across blocks with very different histograms and
+    // sub-block shapes must not leak state from one encode into the next.
+    let noise: Vec<u8> = (0..700u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+    let blocks = [
+        match_block(&[0xFF; 700]),
+        SequenceBlock {
+            sequences: vec![Sequence::literals_only(700)],
+            literals: noise,
+            uncompressed_len: 700,
+        },
+        match_block(b"one scratch reused across disparate blocks and sub-block shapes"),
+        match_block(&[]),
+        match_block(b"a"),
     ];
-    for (i, input) in inputs.iter().enumerate() {
-        let block = match_block(input);
-        let per = [1u32, 3, 16, 4][i];
-        let a = BitBlock::encode_sequential_with_scratch(&block, &coder, per, 10, &mut scratch).unwrap();
-        let b = BitBlock::encode_with_scratch(&block, &coder, per, 10, &mut scratch).unwrap();
-        assert_identical(&a, &b, "scratch reuse");
-        // A fresh scratch must agree with the reused one.
-        let fresh =
-            BitBlock::encode_with_scratch(&block, &coder, per, 10, &mut EncodeScratch::new()).unwrap();
-        assert_identical(&fresh, &a, "fresh vs reused scratch");
+    let mut scratch = EncodeScratch::new();
+    for per_sub_block in [1u32, 3, 4, 16] {
+        for (i, block) in blocks.iter().enumerate() {
+            let ctx = format!("block {i}, {per_sub_block} per sub-block");
+            check_encode(block, per_sub_block, &mut scratch, &ctx);
+        }
     }
 }
