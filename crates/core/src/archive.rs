@@ -9,10 +9,11 @@
 //!
 //! * **in-memory containers** (`.gpso`, v1–v4) index from the header's
 //!   block-size table, prefix-summed from the end of the header;
-//! * **streaming containers** (`.gpsos`, v2–v4) index trailer-first, like
-//!   the salvage decoder: the self-locating trailer pins every frame's
-//!   exact offset, and one small read per frame head recovers the per-block
-//!   config (v3+) and content checksum (v4).
+//! * **streaming containers** (`.gpsos`, v2–v4) index trailer-first
+//!   through the trusted stream geometry the salvage decoder shares
+//!   ([`locate_stream_frames`]): the self-locating trailer pins every
+//!   frame's exact offset, and one small read per frame head recovers the
+//!   per-block config (v3+) and content checksum (v4).
 //!
 //! [`ArchiveReader::decompress_range`] clamps the request to the file, reads
 //! only the overlapping blocks' payloads, decodes them in parallel through
@@ -23,14 +24,15 @@
 //! complement of [`crate::salvage`], which recovers what it can from a file
 //! already known to be damaged.
 
-use crate::decompress::{decompress_block_checked, plausible_output_ceiling, DecompressorConfig};
+use crate::decompress::{admit_block, decompress_block_checked, DecompressorConfig, Slot};
+use crate::error::invalid_field;
+use crate::stream::read_prelude;
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
-use gompresso_format::stream_frame::{
-    prelude_len, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, TRAILER_MAGIC,
-};
+use gompresso_format::stream_frame::{StreamPrelude, StreamTrailer, TRAILER_MAGIC};
 use gompresso_format::{
-    parse_stream_frame_head, stream_frame_layout, token_code::TokenCoder, BlockIndex, FileHeader, FormatError,
+    parse_stream_frame_head, stream_frame_layout, token_code::TokenCoder, BlockIndex, FileHeader,
+    FormatError, FrameLayout,
 };
 use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom};
@@ -133,60 +135,19 @@ impl<R: Read + Seek> ArchiveReader<R> {
         }
     }
 
-    /// Trailer-first open: locate the self-locating trailer from the tail,
-    /// derive every frame's exact offset, and read each frame head for its
-    /// config and checksum.
+    /// Trailer-first open: locate the trailer and every frame through the
+    /// trusted stream geometry, then read each frame head for its config
+    /// and checksum.
     fn open_stream(reader: &mut R, file_len: u64) -> Result<(BlockIndex, ArchiveFormat)> {
-        let head = read_at(reader, 0, PRELUDE_HEAD_LEN.min(file_len as usize))?;
-        if head.len() < PRELUDE_HEAD_LEN || head[..4] != gompresso_format::MAGIC {
-            return Err(GompressoError::Format(FormatError::BadMagic));
-        }
-        let plen = prelude_len(head[4]).map_err(GompressoError::Format)?;
-        if (plen as u64) > file_len {
-            return Err(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }));
-        }
-        let prelude_bytes = read_at(reader, 0, plen)?;
-        let prelude = StreamPrelude::deserialize(&prelude_bytes).map_err(GompressoError::Format)?;
-        let checksummed = prelude.version == gompresso_format::STREAM_FORMAT_VERSION;
-
-        // The trailer locates itself from the end of the file: closing
-        // magic, then its own length, then the table.
-        if file_len < 8 {
-            return Err(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }));
-        }
-        let tail = read_at(reader, file_len - 8, 8)?;
-        if tail[4..] != TRAILER_MAGIC {
-            return Err(GompressoError::Format(FormatError::BadMagic));
-        }
-        let table_len = u64::from(u32::from_le_bytes(tail[..4].try_into().unwrap()));
-        let trailer_start = file_len
-            .checked_sub(8 + table_len)
-            .ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
-        let trailer_bytes = read_at(reader, trailer_start, (table_len + 8) as usize)?;
-        let trailer =
-            StreamTrailer::deserialize(&trailer_bytes, checksummed).map_err(GompressoError::Format)?;
-
-        // The frames, the zero-length terminator and the trailer must tile
-        // the file exactly; a mismatch means the (checksummed) trailer and
-        // the frame bytes disagree — damage, not a valid archive.
-        let layouts = stream_frame_layout(&prelude, &trailer, plen as u64);
-        let frames_end = layouts
-            .last()
-            .map(|l| l.frame_offset + l.head_len as u64 + u64::from(l.payload_len))
-            .unwrap_or(plen as u64);
-        if frames_end + 1 != trailer_start {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "block_compressed_sizes",
-                value: frames_end,
-            }));
-        }
-
+        reader.seek(SeekFrom::Start(0))?;
+        let (prelude, frames_at) = read_prelude(reader, StreamPrelude::deserialize)?;
+        let (trailer, layouts) = locate_stream_frames(reader, file_len, &prelude, frames_at)?;
         let mut heads = Vec::with_capacity(layouts.len());
         for layout in &layouts {
             let bytes = read_at(reader, layout.frame_offset, layout.head_len)?;
-            heads.push(parse_stream_frame_head(&bytes, &prelude, layout).map_err(GompressoError::Format)?);
+            heads.push(parse_stream_frame_head(&bytes, &prelude, layout)?);
         }
-        let index = BlockIndex::from_stream(&prelude, &trailer, plen as u64, heads)?;
+        let index = BlockIndex::from_stream(&prelude, &trailer, frames_at, heads)?;
         Ok((index, ArchiveFormat::Stream))
     }
 
@@ -244,39 +205,23 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let last = self.index.entry(blocks.end - 1);
         let aligned_len = last.uncompressed_offset + last.uncompressed_size - aligned_start;
         if aligned_len > self.config.max_output_size {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: aligned_len,
-            }));
+            return Err(invalid_field("uncompressed_size", aligned_len));
         }
 
-        // Read the payloads (sequentially — one seek per block), bounding
-        // each block's declared output against what its payload could
-        // plausibly expand to *before* allocating anything for it.
+        // Read the payloads (sequentially — one seek per block) and admit
+        // each block *before* allocating anything for its output.
         let mut payloads = Vec::with_capacity(blocks.len());
         for idx in blocks.clone() {
             let entry = self.index.entry(idx);
-            let ceiling = plausible_output_ceiling(
-                entry.config.mode,
-                u64::from(entry.compressed_size),
-                self.index.max_match_len(),
-            );
-            if entry.uncompressed_size > ceiling {
-                return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                    field: "uncompressed_size",
-                    value: entry.uncompressed_size,
-                })
-                .into_block_err(idx as u64, self.format, entry.compressed_offset));
-            }
+            let block_err =
+                |e: GompressoError| e.into_block_err(idx as u64, self.format, entry.compressed_offset);
             if entry.compressed_offset + u64::from(entry.compressed_size) > self.file_len {
-                return Err(GompressoError::Format(FormatError::TruncatedBlock { block: idx })
-                    .into_block_err(idx as u64, self.format, entry.compressed_offset));
+                return Err(block_err(GompressoError::Format(FormatError::TruncatedBlock { block: idx })));
             }
-            payloads.push(read_at(
-                &mut self.reader,
-                entry.compressed_offset,
-                entry.compressed_size as usize,
-            )?);
+            let payload = read_at(&mut self.reader, entry.compressed_offset, entry.compressed_size as usize)?;
+            let slot = Slot::Exact(entry.uncompressed_size);
+            admit_block(entry.config.mode, &payload, slot, self.index.max_match_len()).map_err(block_err)?;
+            payloads.push(payload);
         }
 
         // Decode in parallel into disjoint slices of one block-aligned
@@ -310,6 +255,39 @@ impl<R: Read + Seek> ArchiveReader<R> {
         out.drain(..(start - aligned_start) as usize);
         Ok(out)
     }
+}
+
+/// Trusted stream geometry: locates the trailer from the tail of a
+/// `file_len`-byte stream (closing magic, then the trailer's own length,
+/// then its table) and checks it against the prelude and the file — the
+/// block count must agree with the total and the block size, and the
+/// frames, the zero-length terminator and the trailer must tile the file
+/// exactly. A mismatch means the trailer and the frame bytes disagree:
+/// damage, not a valid archive. Returns the trailer and every frame's
+/// layout. The range reader and salvage's exact-offset path both start
+/// here.
+pub(crate) fn locate_stream_frames<R: Read + Seek>(
+    reader: &mut R,
+    file_len: u64,
+    prelude: &StreamPrelude,
+    frames_at: u64,
+) -> Result<(StreamTrailer, Vec<FrameLayout>)> {
+    let truncated = || GompressoError::Format(FormatError::TruncatedBlock { block: 0 });
+    let tail_at = file_len.checked_sub(8).ok_or_else(truncated)?;
+    let tail = read_at(reader, tail_at, 8)?;
+    if tail[4..] != TRAILER_MAGIC {
+        return Err(GompressoError::Format(FormatError::BadMagic));
+    }
+    let table_len = u64::from(u32::from_le_bytes(tail[..4].try_into().expect("the tail holds 8 bytes")));
+    let trailer_start = tail_at.checked_sub(table_len).ok_or_else(truncated)?;
+    let trailer_bytes = read_at(reader, trailer_start, (table_len + 8) as usize)?;
+    let trailer = StreamTrailer::deserialize(&trailer_bytes, prelude.checksummed())?;
+    let layouts = stream_frame_layout(prelude, &trailer, frames_at)?;
+    let frames_end = layouts.last().map_or(frames_at, FrameLayout::end);
+    if frames_end + 1 != trailer_start {
+        return Err(invalid_field("block_compressed_sizes", frames_end));
+    }
+    Ok((trailer, layouts))
 }
 
 /// Seeks to `offset` and reads exactly `len` bytes.

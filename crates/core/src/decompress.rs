@@ -31,6 +31,7 @@
 //!   counters the Tesla K40 cost model turns into the GPU time estimates
 //!   of a [`SimulationReport`].
 
+use crate::error::invalid_field;
 use crate::stats::{DecompressionReport, GpuEstimate, MrrStats, SimulationReport};
 use crate::strategy::{ResolutionStrategy, StrategySelection};
 use crate::warp_lz77::{check_de_block, decompress_block_warp};
@@ -284,10 +285,7 @@ impl Decompressor {
         header.validate()?;
         let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
         if header.uncompressed_size > self.config.max_output_size {
-            return Err(GompressoError::Format(gompresso_format::FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: header.uncompressed_size,
-            }));
+            return Err(invalid_field("uncompressed_size", header.uncompressed_size));
         }
         validate_declared_sizes(file)?;
         Ok(coder)
@@ -334,33 +332,6 @@ fn decode_sequences(
     Ok(())
 }
 
-/// Decodes one block payload into `dst` under the block's recorded config,
-/// reusing the per-worker decode scratch: parse, entropy decode, size check,
-/// the DE check when `validate_de` applies, then sequence execution with the
-/// wide-copy kernels (which reject zero offsets, offsets before the block,
-/// literal overruns and length mismatches). Shared by the in-memory
-/// [`Decompressor`], the streaming pipeline in [`crate::stream`], the
-/// random-access reader and salvage, so every path applies identical
-/// resolution strategies and validation.
-pub(crate) fn decompress_block_into(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_index: usize,
-    payload: &[u8],
-    dst: &mut [u8],
-) -> Result<()> {
-    DECODE_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        decode_sequences(scratch, block, coder, payload, dst.len(), None)?;
-        if config.checks_de(config.strategy.resolve(block)) {
-            check_de_block(&scratch.seq_block, block_index)?;
-        }
-        gompresso_lz77::decompress_block_into(&scratch.seq_block, dst)?;
-        Ok(())
-    })
-}
-
 /// The model counterpart of [`decompress_block_checked`]: decodes the block
 /// with the decode kernel charged, walks it through the warp LZ77 kernel
 /// into the worker's scratch buffer and applies the same checks.
@@ -399,11 +370,8 @@ fn simulate_block(
 }
 
 /// Verifies a block's stored content checksum (when the archive carries
-/// one) against the decompressed bytes. One definition shared by the
-/// in-memory decompressor, the random-access [`crate::archive`] reader and
-/// the salvage decoder, so "does this block prove itself?" means the same
-/// thing on every path.
-pub(crate) fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<()> {
+/// one) against the decompressed bytes.
+fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<()> {
     if let Some(stored) = stored {
         let computed = gompresso_format::content_checksum(dst);
         if computed != stored {
@@ -413,10 +381,16 @@ pub(crate) fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8])
     Ok(())
 }
 
-/// Single-block decode with the configured integrity policy applied: decodes
-/// `payload` into `dst` and, unless checksum verification is disabled,
-/// checks the stored content checksum. This is the unit the all-blocks loop,
-/// the streaming workers and the random-access reader are all built from.
+/// Decodes one admitted block payload into `dst` under the block's recorded
+/// config, reusing the per-worker decode scratch: parse, entropy decode,
+/// size check, the DE check when `validate_de` applies, sequence execution
+/// with the wide-copy kernels (which reject zero offsets, offsets before
+/// the block, literal overruns and length mismatches), then — unless
+/// checksum verification is disabled — the stored content checksum. The
+/// one per-block decode body of the in-memory [`Decompressor`], the
+/// streaming workers in [`crate::stream`], the random-access reader and
+/// salvage, so every path applies identical resolution strategies and
+/// validation.
 pub(crate) fn decompress_block_checked(
     config: &DecompressorConfig,
     block: &BlockConfig,
@@ -426,11 +400,55 @@ pub(crate) fn decompress_block_checked(
     checksum: Option<u64>,
     dst: &mut [u8],
 ) -> Result<()> {
-    decompress_block_into(config, block, coder, block_index, payload, dst)?;
+    DECODE_SCRATCH.with(|scratch| -> Result<()> {
+        let scratch = &mut *scratch.borrow_mut();
+        decode_sequences(scratch, block, coder, payload, dst.len(), None)?;
+        if config.checks_de(config.strategy.resolve(block)) {
+            check_de_block(&scratch.seq_block, block_index)?;
+        }
+        gompresso_lz77::decompress_block_into(&scratch.seq_block, dst)?;
+        Ok(())
+    })?;
     if config.verify_checksums {
         verify_block_checksum(block_index as u64, checksum, dst)?;
     }
     Ok(())
+}
+
+/// The output size a block's container assigns it — its *slot* — against
+/// which [`admit_block`] checks the size the payload itself declares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
+    /// The header, index or trailer fixes the block's output size.
+    Exact(u64),
+    /// A sequentially read stream frame: any size from 1 up to the block
+    /// size (only the final block may be short, which the stream writer
+    /// stage enforces).
+    UpTo(u64),
+}
+
+/// Block admission: the check every decoder makes before it allocates a
+/// block's output. The payload's declared size (read with the cheap peek
+/// that skips code tables) must fill `slot` and must not exceed what
+/// `payload` could plausibly expand to. Returns the declared size.
+pub(crate) fn admit_block(mode: EncodingMode, payload: &[u8], slot: Slot, max_match_len: u32) -> Result<u64> {
+    let declared = match mode {
+        EncodingMode::Bit => BitBlock::peek_uncompressed_len(payload)?,
+        EncodingMode::Byte => ByteBlock::peek_uncompressed_len(payload)?,
+    };
+    match slot {
+        Slot::Exact(size) if declared != size => {
+            return Err(GompressoError::OutputSizeMismatch { declared: size, produced: declared })
+        }
+        Slot::UpTo(block_size) if declared == 0 || declared > block_size => {
+            return Err(invalid_field("block_uncompressed_size", declared))
+        }
+        _ => {}
+    }
+    if declared > plausible_output_ceiling(mode, payload.len() as u64, max_match_len) {
+        return Err(invalid_field("uncompressed_size", declared));
+    }
+    Ok(declared)
 }
 
 /// Format-derived expansion ceiling: byte mode is LZ4-style (a 255-chained
@@ -450,32 +468,15 @@ pub(crate) fn plausible_output_ceiling(mode: EncodingMode, payload_len: u64, max
 
 /// Checks, before any output allocation, that the header's claimed
 /// `uncompressed_size` is corroborated by the blocks themselves: the
-/// header-derived per-block sizes must sum to it exactly, every block
-/// payload's *declared* uncompressed size (read with the cheap peek that
-/// skips code tables, using the block's recorded mode) must equal its
-/// header-derived size, and no block may declare more output than its
-/// payload length could plausibly produce.
+/// header-derived per-block sizes must sum to it exactly, and every block
+/// must pass [`admit_block`] against its header-derived size.
 fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
     let header = &file.header;
     let mut total = 0u64;
     for (idx, payload) in file.blocks.iter().enumerate() {
-        let expected = header.block_uncompressed_size(idx);
-        let mode = header.block_config(idx).mode;
-        let declared = match mode {
-            EncodingMode::Bit => BitBlock::peek_uncompressed_len(&payload.bytes)?,
-            EncodingMode::Byte => ByteBlock::peek_uncompressed_len(&payload.bytes)?,
-        };
-        if declared != expected {
-            return Err(GompressoError::OutputSizeMismatch { declared: expected, produced: declared });
-        }
-        let plausible = plausible_output_ceiling(mode, payload.bytes.len() as u64, header.max_match_len);
-        if declared > plausible {
-            return Err(GompressoError::Format(gompresso_format::FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: declared,
-            }));
-        }
-        total += expected;
+        let slot = header.block_uncompressed_size(idx);
+        admit_block(header.block_config(idx).mode, &payload.bytes, Slot::Exact(slot), header.max_match_len)?;
+        total += slot;
     }
     if total != header.uncompressed_size {
         return Err(GompressoError::OutputSizeMismatch {

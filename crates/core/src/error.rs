@@ -74,6 +74,11 @@ pub enum GompressoError {
     },
 }
 
+/// A [`FormatError::InvalidHeaderField`] as a [`GompressoError`].
+pub(crate) fn invalid_field(field: &'static str, value: u64) -> GompressoError {
+    GompressoError::Format(FormatError::InvalidHeaderField { field, value })
+}
+
 impl GompressoError {
     /// Wraps `self` with block context (see [`GompressoError::InBlock`]);
     /// no-op re-wrapping is avoided so the innermost context wins.

@@ -19,10 +19,14 @@
 //!   archive is unparseable).
 //!
 //! For streams, frame offsets are recovered on two paths. When the
-//! checksummed trailer survives, the exact offset of every frame is
-//! computed from its block-size table, so each frame decodes independently
-//! of any damage to its neighbours (even a destroyed frame-length varint).
-//! When the trailer is gone too, the decoder falls back to a forward scan:
+//! checksummed trailer survives and passes the same geometry check as the
+//! range reader (the block count fits the total, and the frames, the
+//! terminator and the trailer tile the input), and no frame's slot exceeds
+//! what its payload could plausibly expand to, the exact offset of every
+//! frame is computed from its block-size table, so each frame decodes
+//! independently of any damage to its neighbours (even a destroyed
+//! frame-length varint). That path and the container path are one loop
+//! over slots. Otherwise the decoder falls back to a forward scan:
 //! frames are parsed in sequence, and at the first damaged frame it slides
 //! a resynchronization window byte-by-byte until some offset parses as a
 //! frame whose payload decodes and whose content checksum verifies — a
@@ -31,20 +35,30 @@
 //! Pre-v4 frames carry no checksum, so resynchronization accepts a
 //! candidate on structure + decode alone and the report marks the weaker
 //! evidence via [`RecoveryReport::checksummed`].
+//!
+//! No output is sized from a number the strict readers would reject: a
+//! container block's slot must be plausible for its payload before the
+//! output is allocated, and a scanned hole never exceeds what its gap in
+//! the input could plausibly expand to — except that a gap running to the
+//! end of the input may take the prelude's declared total, the only record
+//! of a truncated stream's size. No salvage output exceeds
+//! [`DecompressorConfig::max_output_size`].
 
+use crate::archive::locate_stream_frames;
 use crate::decompress::{
-    decompress_block_into, plausible_output_ceiling, verify_block_checksum, DecompressorConfig,
+    admit_block, decompress_block_checked, plausible_output_ceiling, DecompressorConfig, Slot,
 };
+use crate::error::invalid_field;
+use crate::stream::read_prelude;
 use crate::{GompressoError, Result};
-use gompresso_bitstream::{read_varint, varint_len, ByteReader};
-use gompresso_format::stream_frame::{
-    prelude_len, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, STREAM_FORMAT_VERSION, TRAILER_MAGIC,
-};
+use gompresso_bitstream::{read_varint, ByteReader};
+use gompresso_format::stream_frame::{StreamPrelude, StreamTrailer};
 use gompresso_format::{
-    token_code::TokenCoder, BlockConfig, FileHeader, FormatError, BLOCK_CONFIG_LEN, MAGIC,
+    parse_stream_frame_head, token_code::TokenCoder, BlockConfig, EncodingMode, FileHeader, FormatError,
+    FrameLayout,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Cursor, Read, Write};
 use std::path::Path;
 
 /// What happened to one block (or unrecoverable region) during salvage.
@@ -99,8 +113,11 @@ pub struct RecoveryReport {
     /// Whether the archive head's own checksum verified (v4 header /
     /// stream prelude; `true` for legacy archives, which carry none).
     pub head_intact: bool,
-    /// Whether the stream trailer verified, enabling exact frame offsets
-    /// (`true` for the in-memory container, whose header plays that role).
+    /// Whether the stream trailer is intact: a v4 trailer verified and its
+    /// geometry held, enabling exact frame offsets; a legacy v2/v3 trailer
+    /// (which carries no checksum) agrees with a clean forward scan — every
+    /// frame's offset and size, and the total. `true` for the in-memory
+    /// container, whose header plays that role.
     pub trailer_intact: bool,
     /// Whether recovered blocks were arbitrated by per-block content
     /// checksums (v4) or only by structure + decode success (legacy).
@@ -109,9 +126,12 @@ pub struct RecoveryReport {
     /// path only).
     pub resyncs: u64,
     /// Whether every lost region's output size is exact. `false` only on
-    /// the stream scan path when the archive does not declare its totals —
-    /// lost regions are then sized at one block each, which may undercount
-    /// multi-block damage.
+    /// the stream scan path when no usable declared total sizes a single
+    /// lost region: the prelude declares none, it exceeds
+    /// [`DecompressorConfig::max_output_size`], there is more than one lost
+    /// region, or it would give a mid-stream region more output than its
+    /// gap could plausibly expand to. Lost regions are then sized at one
+    /// block each at most, which may undercount multi-block damage.
     pub lost_sizes_exact: bool,
 }
 
@@ -136,21 +156,100 @@ impl RecoveryReport {
     }
 }
 
+/// Salvage always verifies content checksums, whatever the caller's policy:
+/// the checksum is the evidence that recovered bytes are the original bytes.
+fn verifying(config: &DecompressorConfig) -> DecompressorConfig {
+    DecompressorConfig { verify_checksums: true, ..config.clone() }
+}
+
+/// One block of an exact-offset salvage: where its bytes sit and the output
+/// size the archive's own tables assign it.
+struct ExactSlot<'a> {
+    /// The block's slot in the output (from the header or the trailer).
+    out_len: u64,
+    /// Byte range of the container payload or stream frame in the input.
+    input_range: (u64, u64),
+    /// Frame offset for the error context of stream blocks; `None` for
+    /// container blocks.
+    offset: Option<u64>,
+    /// The payload, its config and its stored checksum, or why they could
+    /// not be read.
+    block: Result<(&'a [u8], BlockConfig, Option<u64>)>,
+}
+
+/// The exact-offset loop shared by container salvage and trusted-trailer
+/// stream salvage: every slot is admitted, decoded and checksum-verified on
+/// its own, and zero-filled and reported lost when anything fails. `total`
+/// is the sum of the slots; `config` comes from [`verifying`].
+fn salvage_slots<'a>(
+    config: &DecompressorConfig,
+    coder: &TokenCoder,
+    max_match_len: u32,
+    total: u64,
+    slots: impl IntoIterator<Item = ExactSlot<'a>>,
+    report: &mut RecoveryReport,
+) -> Vec<u8> {
+    let mut output = vec![0u8; total as usize];
+    let mut out_at = 0u64;
+    for (idx, slot) in slots.into_iter().enumerate() {
+        let output_range = (out_at, out_at + slot.out_len);
+        let dst = &mut output[out_at as usize..output_range.1 as usize];
+        let decoded = slot.block.and_then(|(payload, block, checksum)| {
+            admit_block(block.mode, payload, Slot::Exact(slot.out_len), max_match_len)?;
+            decompress_block_checked(config, &block, coder, idx, payload, checksum, dst)
+        });
+        let status = match decoded {
+            Ok(()) => BlockStatus::Recovered,
+            Err(e) => {
+                dst.fill(0); // never emit a partial decode
+                BlockStatus::Lost(e.in_block(idx as u64, slot.offset))
+            }
+        };
+        report.push(BlockRecord { block: idx as u64, input_range: slot.input_range, output_range, status });
+        out_at = output_range.1;
+    }
+    output
+}
+
 /// Salvages an in-memory container: recovers every block that decodes and
 /// checksum-verifies, zero-fills the rest, and reports what happened.
 ///
-/// Errors only when the header itself is unrecoverable (bad magic, fields
-/// that no longer validate) — a damaged header checksum alone degrades to
-/// `head_intact = false` and per-block checksums arbitrate from there.
+/// Errors when the header itself is unrecoverable (bad magic, fields that
+/// no longer validate), and — before anything is allocated — when a block
+/// whose payload is present is assigned more output than that payload
+/// could plausibly expand to, with the error strict decoding returns. A
+/// damaged header checksum alone degrades to `head_intact = false` and
+/// per-block checksums arbitrate from there; a block whose payload is cut
+/// off by truncation is zero-filled.
 pub fn decompress_salvage(bytes: &[u8], config: &DecompressorConfig) -> Result<(Vec<u8>, RecoveryReport)> {
     let mut r = ByteReader::new(bytes);
-    let (header, head_checksum) = FileHeader::deserialize_lenient(&mut r).map_err(GompressoError::Format)?;
+    let (header, head_checksum) = FileHeader::deserialize_lenient(&mut r)?;
     let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
     if header.uncompressed_size > config.max_output_size {
-        return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-            field: "uncompressed_size",
-            value: header.uncompressed_size,
-        }));
+        return Err(invalid_field("uncompressed_size", header.uncompressed_size));
+    }
+
+    let mut slots = Vec::with_capacity(header.block_count());
+    let mut in_at = r.position() as u64;
+    for idx in 0..header.block_count() {
+        let payload_len = u64::from(header.block_compressed_sizes[idx]);
+        let out_len = header.block_uncompressed_size(idx);
+        let mode = header.block_config(idx).mode;
+        let block = match bytes.get(in_at as usize..(in_at + payload_len) as usize) {
+            Some(payload) => {
+                // A slot beyond the payload's plausible expansion is a
+                // header lie, not payload damage: admission then always
+                // fails, with the error strict decoding returns.
+                if out_len > plausible_output_ceiling(mode, payload_len, header.max_match_len) {
+                    admit_block(mode, payload, Slot::Exact(out_len), header.max_match_len)?;
+                }
+                Ok((payload, *header.block_config(idx), header.block_checksums.get(idx).copied()))
+            }
+            None => Err(GompressoError::Format(FormatError::TruncatedBlock { block: idx })),
+        };
+        let input_range = (in_at, (in_at + payload_len).min(bytes.len() as u64));
+        slots.push(ExactSlot { out_len, input_range, offset: None, block });
+        in_at += payload_len;
     }
 
     let mut report = RecoveryReport {
@@ -160,59 +259,15 @@ pub fn decompress_salvage(bytes: &[u8], config: &DecompressorConfig) -> Result<(
         lost_sizes_exact: true,
         ..RecoveryReport::default()
     };
-
-    let mut output = vec![0u8; header.uncompressed_size as usize];
-    let mut in_at = r.position() as u64;
-    let mut out_at = 0u64;
-    for idx in 0..header.block_count() {
-        let payload_len = u64::from(header.block_compressed_sizes[idx]);
-        let out_len = header.block_uncompressed_size(idx);
-        let input_range = (in_at, (in_at + payload_len).min(bytes.len() as u64));
-        let output_range = (out_at, out_at + out_len);
-        let dst = &mut output[out_at as usize..(out_at + out_len) as usize];
-        let status = match bytes.get(in_at as usize..(in_at + payload_len) as usize) {
-            None => BlockStatus::Lost(
-                GompressoError::Format(FormatError::TruncatedBlock { block: idx }).in_block(idx as u64, None),
-            ),
-            Some(payload) => {
-                match salvage_decode_container_block(config, &header, &coder, idx, payload, dst) {
-                    Ok(()) => BlockStatus::Recovered,
-                    Err(e) => {
-                        dst.fill(0); // never emit a partial decode
-                        BlockStatus::Lost(e.in_block(idx as u64, None))
-                    }
-                }
-            }
-        };
-        report.push(BlockRecord { block: idx as u64, input_range, output_range, status });
-        in_at += payload_len;
-        out_at += out_len;
-    }
+    let output = salvage_slots(
+        &verifying(config),
+        &coder,
+        header.max_match_len,
+        header.uncompressed_size,
+        slots,
+        &mut report,
+    );
     Ok((output, report))
-}
-
-/// Decodes one container block for salvage, applying the same plausibility
-/// bound and checksum check the strict path uses.
-fn salvage_decode_container_block(
-    config: &DecompressorConfig,
-    header: &FileHeader,
-    coder: &TokenCoder,
-    idx: usize,
-    payload: &[u8],
-    dst: &mut [u8],
-) -> Result<()> {
-    let block = header.block_config(idx);
-    let declared = dst.len() as u64;
-    if declared > plausible_output_ceiling(block.mode, payload.len() as u64, header.max_match_len) {
-        return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-            field: "uncompressed_size",
-            value: declared,
-        }));
-    }
-    decompress_block_into(config, block, coder, idx, payload, dst)?;
-    // Salvage always verifies, regardless of the caller's checksum policy:
-    // the checksum is the evidence that the recovered bytes are original.
-    verify_block_checksum(idx as u64, header.block_checksums.get(idx).copied(), dst)
 }
 
 /// One frame successfully parsed and decoded during stream salvage.
@@ -226,153 +281,132 @@ struct SalvagedFrame {
 /// Internal stream-salvage context: the whole input plus the parsed head.
 struct StreamSalvage<'a> {
     bytes: &'a [u8],
-    config: &'a DecompressorConfig,
+    prelude: &'a StreamPrelude,
+    /// The caller's configuration with checksum verification forced on.
+    config: DecompressorConfig,
     coder: TokenCoder,
-    version: u8,
-    block_size: usize,
-    max_match_len: u32,
-    legacy_uniform: Option<BlockConfig>,
-    max_frame: u64,
+    /// Offset of the first frame (the prelude length).
+    frames_at: u64,
 }
 
 impl<'a> StreamSalvage<'a> {
-    /// Attempts to parse **and fully vet** the frame at `at`: structural
-    /// parse, payload decode, and (v4) content-checksum verification. This
-    /// is deliberately the strictest possible acceptance test, because the
-    /// scan path uses it to arbitrate resynchronization candidates.
-    fn try_frame(&self, at: u64) -> Result<SalvagedFrame> {
-        let bytes = self
-            .bytes
-            .get(at as usize..)
-            .ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
-        let mut r = ByteReader::new(bytes);
-        let len = read_varint(&mut r).map_err(FormatError::Stream)?;
-        if len == 0 || len > self.max_frame {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "block_compressed_size",
-                value: len,
-            }));
+    /// The larger of the two modes' plausibility ceilings for `len` input
+    /// bytes: the bound to apply when a frame's own config cannot be
+    /// trusted, or no frame can be parsed at all.
+    fn ceiling(&self, len: u64) -> u64 {
+        let ceiling = |mode| plausible_output_ceiling(mode, len, self.prelude.max_match_len);
+        ceiling(EncodingMode::Bit).max(ceiling(EncodingMode::Byte))
+    }
+
+    /// The trusted stream geometry, read from the input's tail.
+    fn geometry(&self) -> Result<(StreamTrailer, Vec<FrameLayout>)> {
+        locate_stream_frames(
+            &mut Cursor::new(self.bytes),
+            self.bytes.len() as u64,
+            self.prelude,
+            self.frames_at,
+        )
+    }
+
+    /// The trailer and frame layout, when salvage may place frames by them:
+    /// a checksummed (v4) trailer that passes the range reader's geometry
+    /// check, a total within the output budget, and no frame whose slot
+    /// exceeds what its payload could plausibly expand to under either
+    /// mode (the frame's own config may be the damaged part). The prelude
+    /// totals are not consulted: they sit outside the prelude checksum.
+    fn trusted_geometry(&self) -> Option<(StreamTrailer, Vec<FrameLayout>)> {
+        if !self.prelude.checksummed() {
+            return None;
         }
-        let config = match self.legacy_uniform {
-            Some(uniform) => uniform,
-            None => BlockConfig::deserialize(&mut r).map_err(GompressoError::Format)?,
-        };
-        let checksum = if self.version == STREAM_FORMAT_VERSION {
-            Some(r.read_u64_le().map_err(FormatError::Stream)?)
-        } else {
-            None
-        };
+        let (trailer, layouts) = self.geometry().ok()?;
+        let plausible = trailer.uncompressed_size <= self.config.max_output_size
+            && layouts.iter().all(|l| l.uncompressed_size <= self.ceiling(u64::from(l.payload_len)));
+        plausible.then_some((trailer, layouts))
+    }
+
+    /// The exact-offset slot of one frame placed by the trusted geometry
+    /// (which tiles the input, so the frame is in bounds).
+    fn exact_slot(&self, layout: &FrameLayout) -> ExactSlot<'a> {
+        let frame = &self.bytes[layout.frame_offset as usize..layout.end() as usize];
+        let block = parse_stream_frame_head(frame, self.prelude, layout)
+            .map(|(config, checksum)| (&frame[layout.head_len..], config, checksum))
+            .map_err(GompressoError::Format);
+        ExactSlot {
+            out_len: layout.uncompressed_size,
+            input_range: (layout.frame_offset, layout.end()),
+            offset: Some(layout.frame_offset),
+            block,
+        }
+    }
+
+    /// Attempts to parse **and fully vet** the frame at `at`: structural
+    /// parse, admission, payload decode, and (v4) content-checksum
+    /// verification. This is deliberately the strictest possible acceptance
+    /// test, because the scan path uses it to arbitrate resynchronization
+    /// candidates.
+    fn try_frame(&self, at: u64) -> Result<SalvagedFrame> {
+        let mut r = ByteReader::new(self.bytes.get(at as usize..).unwrap_or_default());
+        let len = read_varint(&mut r).map_err(FormatError::Stream)?;
+        if len == 0 || len > self.prelude.max_payload_len() {
+            return Err(invalid_field("block_compressed_size", len));
+        }
+        let (config, checksum) = self.prelude.parse_frame_head(&mut r)?;
         let payload = r
             .read_bytes(len as usize)
             .map_err(|_| GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
-        let declared = match config.mode {
-            gompresso_format::EncodingMode::Bit => {
-                gompresso_format::BitBlock::peek_uncompressed_len(payload)?
-            }
-            gompresso_format::EncodingMode::Byte => {
-                gompresso_format::ByteBlock::peek_uncompressed_len(payload)?
-            }
-        };
-        if declared == 0 || declared > self.block_size as u64 {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "block_uncompressed_size",
-                value: declared,
-            }));
-        }
-        if declared > plausible_output_ceiling(config.mode, payload.len() as u64, self.max_match_len) {
-            return Err(GompressoError::Format(FormatError::InvalidHeaderField {
-                field: "uncompressed_size",
-                value: declared,
-            }));
-        }
-        let mut out = vec![0u8; declared as usize];
-        decompress_block_into(self.config, &config, &self.coder, 0, payload, &mut out)?;
-        // Salvage always verifies: the checksum is the evidence that the
-        // recovered bytes are the original bytes.
-        verify_block_checksum(0, checksum, &out)?;
-        Ok(SalvagedFrame { consumed: r.position() as u64, output: out })
+        let slot = Slot::UpTo(u64::from(self.prelude.block_size));
+        let declared = admit_block(config.mode, payload, slot, self.prelude.max_match_len)?;
+        let mut output = vec![0u8; declared as usize];
+        decompress_block_checked(&self.config, &config, &self.coder, 0, payload, checksum, &mut output)?;
+        Ok(SalvagedFrame { consumed: r.position() as u64, output })
     }
 
-    /// Exact-offset salvage: the trailer's size table pins every frame's
-    /// byte position, so each frame is vetted independently of its
-    /// neighbours.
-    fn salvage_with_trailer(
+    /// Appends lost record `block`, failed with `e`, covering the input
+    /// `gap`: provisionally one block of output, but never more than the
+    /// gap could plausibly expand to, nor past the output budget.
+    fn push_hole(
         &self,
-        trailer: &StreamTrailer,
-        frames_at: u64,
         out: &mut Vec<u8>,
         report: &mut RecoveryReport,
+        block: u64,
+        gap: (u64, u64),
+        e: GompressoError,
     ) {
-        report.trailer_intact = true;
-        let total = trailer.uncompressed_size;
-        let n = trailer.block_compressed_sizes.len() as u64;
-        let mut in_at = frames_at;
-        let mut out_at = 0u64;
-        for (idx, &payload_len) in trailer.block_compressed_sizes.iter().enumerate() {
-            let frame_len =
-                varint_len(u64::from(payload_len)) as u64 + self.frame_overhead() + u64::from(payload_len);
-            // Every block but the last is exactly block_size; the last is
-            // the remainder of the checksummed total.
-            let out_len =
-                if (idx as u64) + 1 == n { total.saturating_sub(out_at) } else { self.block_size as u64 };
-            let input_range = (in_at, (in_at + frame_len).min(self.bytes.len() as u64));
-            let output_range = (out_at, out_at + out_len);
-            let status = match self.try_frame(in_at) {
-                Ok(frame) if frame.output.len() as u64 == out_len && frame.consumed == frame_len => {
-                    out.extend_from_slice(&frame.output);
-                    BlockStatus::Recovered
-                }
-                Ok(frame) => {
-                    // Decoded, but disagrees with the (checksummed) trailer
-                    // geometry — treat as lost rather than emit bytes that
-                    // contradict the stronger evidence.
-                    out.resize(out.len() + out_len as usize, 0);
-                    BlockStatus::Lost(
-                        GompressoError::OutputSizeMismatch {
-                            declared: out_len,
-                            produced: frame.output.len() as u64,
-                        }
-                        .in_block(idx as u64, Some(in_at)),
-                    )
-                }
-                Err(e) => {
-                    out.resize(out.len() + out_len as usize, 0);
-                    BlockStatus::Lost(e.in_block(idx as u64, Some(in_at)))
-                }
-            };
-            report.push(BlockRecord { block: idx as u64, input_range, output_range, status });
-            in_at += frame_len;
-            out_at += out_len;
-        }
-    }
-
-    /// Fixed per-frame overhead besides the varint length and the payload:
-    /// the config record (v3+) and the content checksum (v4).
-    fn frame_overhead(&self) -> u64 {
-        let config = if self.legacy_uniform.is_some() { 0 } else { BLOCK_CONFIG_LEN as u64 };
-        let checksum = if self.version == STREAM_FORMAT_VERSION { 8 } else { 0 };
-        config + checksum
+        let budget = self.config.max_output_size.saturating_sub(out.len() as u64);
+        let hole = u64::from(self.prelude.block_size).min(self.ceiling(gap.1 - gap.0)).min(budget);
+        let out_at = out.len() as u64;
+        out.resize(out.len() + hole as usize, 0);
+        report.push(BlockRecord {
+            block,
+            input_range: gap,
+            output_range: (out_at, out.len() as u64),
+            status: BlockStatus::Lost(e.in_block(block, Some(gap.0))),
+        });
     }
 
     /// Forward-scan salvage: parse frames in sequence; at the first
     /// failure, slide byte-by-byte until a fully-vetted frame parses, and
-    /// record the skipped span as a lost region.
-    fn salvage_by_scan(
-        &self,
-        declared_total: Option<u64>,
-        frames_at: u64,
-        out: &mut Vec<u8>,
-        report: &mut RecoveryReport,
-    ) {
+    /// record the skipped span as a lost region. Frames that end cleanly
+    /// at the end of the input, short of the declared total, leave a
+    /// missing tail, reported as one lost region at the end of the input.
+    fn salvage_by_scan(&self, report: &mut RecoveryReport) -> Vec<u8> {
         let end = self.bytes.len() as u64;
-        let mut cursor = frames_at;
+        let budget = self.config.max_output_size;
+        let mut out = Vec::new();
+        let mut cursor = self.frames_at;
         let mut record_idx = 0u64;
-        let mut lost_spans: Vec<usize> = Vec::new(); // indices into report.blocks
         while cursor < end {
             if self.at_terminator(cursor) {
                 break;
             }
             match self.try_frame(cursor) {
+                Ok(frame) if (out.len() + frame.output.len()) as u64 > budget => {
+                    // The output budget is spent: the rest of the input is
+                    // one lost region.
+                    let e = invalid_field("uncompressed_size", (out.len() + frame.output.len()) as u64);
+                    self.push_hole(&mut out, report, record_idx, (cursor, end), e);
+                    break;
+                }
                 Ok(frame) => {
                     let out_at = out.len() as u64;
                     out.extend_from_slice(&frame.output);
@@ -405,19 +439,8 @@ impl<'a> StreamSalvage<'a> {
                     if resume.is_none() && self.bytes.get(cursor as usize) == Some(&0) {
                         break;
                     }
-                    let gap_end = resume.unwrap_or(end);
-                    // Size the hole: exact once the declared total is known
-                    // (fixed up below); provisionally one block.
-                    let out_at = out.len() as u64;
-                    let hole = self.block_size as u64;
-                    out.resize(out.len() + hole as usize, 0);
-                    lost_spans.push(report.blocks.len());
-                    report.push(BlockRecord {
-                        block: record_idx,
-                        input_range: (cursor, gap_end),
-                        output_range: (out_at, out.len() as u64),
-                        status: BlockStatus::Lost(first_error.in_block(record_idx, Some(cursor))),
-                    });
+                    let gap = (cursor, resume.unwrap_or(end));
+                    self.push_hole(&mut out, report, record_idx, gap, first_error);
                     match resume {
                         Some(at) => cursor = at,
                         None => break,
@@ -427,50 +450,62 @@ impl<'a> StreamSalvage<'a> {
             record_idx += 1;
         }
 
-        // With a declared total we can size the holes exactly when there is
-        // a single lost region (the only case with a unique answer).
-        match declared_total {
-            Some(total) if lost_spans.len() == 1 => {
-                let span = lost_spans[0];
-                let recovered: u64 = report
-                    .blocks
-                    .iter()
-                    .filter(|b| b.status.is_recovered())
-                    .map(|b| b.output_range.1 - b.output_range.0)
-                    .sum();
-                let exact_hole = total.saturating_sub(recovered);
-                let (hole_start, old_end) = report.blocks[span].output_range;
-                let delta_new = exact_hole as i64 - (old_end - hole_start) as i64;
-                // Rebuild the output with the corrected hole size.
-                let tail = out.split_off(old_end as usize);
-                out.truncate(hole_start as usize);
-                out.resize(hole_start as usize + exact_hole as usize, 0);
-                out.extend_from_slice(&tail);
-                report.blocks[span].output_range = (hole_start, hole_start + exact_hole);
-                for b in report.blocks[span + 1..].iter_mut() {
-                    b.output_range.0 = (b.output_range.0 as i64 + delta_new) as u64;
-                    b.output_range.1 = (b.output_range.1 as i64 + delta_new) as u64;
-                }
-                report.bytes_lost = exact_hole;
-            }
-            _ if lost_spans.is_empty() => {}
-            Some(_) | None => {
-                report.lost_sizes_exact = false;
-            }
+        // The prelude total sits outside the prelude checksum: use it only
+        // within the output budget.
+        let declared_total = self.prelude.uncompressed_size.filter(|&total| total <= budget);
+        if cursor >= end && declared_total.is_some_and(|total| report.bytes_recovered < total) {
+            let missing = GompressoError::Format(FormatError::TruncatedBlock { block: record_idx as usize });
+            self.push_hole(&mut out, report, record_idx, (end, end), missing);
         }
 
-        // A lost region that resolved to zero output bytes and runs to the
-        // end of the input is just the damaged terminator/trailer — every
-        // data byte was recovered, so don't report a phantom lost block.
-        if let Some(last) = report.blocks.last() {
-            if !last.status.is_recovered()
-                && last.output_range.0 == last.output_range.1
-                && last.input_range.1 == end
-            {
-                report.blocks.pop();
-                report.blocks_lost -= 1;
+        // A declared total sizes a hole exactly when there is a single lost
+        // region (the only case with a unique answer), as long as the hole
+        // stays within what its gap could plausibly expand to — unless the
+        // gap runs to the end of the input, where the total is the only
+        // record of a truncated stream's size.
+        let mut lost =
+            report.blocks.iter().enumerate().filter(|(_, b)| !b.status.is_recovered()).map(|(i, _)| i);
+        match (lost.next(), lost.next(), declared_total) {
+            (None, ..) => {}
+            (Some(span), None, Some(total)) => {
+                let gap = report.blocks[span].input_range;
+                let fits = |hole: &u64| gap.1 == end || *hole <= self.ceiling(gap.1 - gap.0);
+                match total.checked_sub(report.bytes_recovered).filter(fits) {
+                    Some(hole) => {
+                        resize_hole(&mut out, report, span, hole);
+                        // A region at the end of the input that resolves
+                        // to no output is just the damaged terminator or
+                        // trailer: every data byte was recovered, so it is
+                        // no lost block.
+                        if hole == 0 && gap.1 == end {
+                            report.blocks.pop();
+                            report.blocks_lost -= 1;
+                        }
+                    }
+                    None => report.lost_sizes_exact = false,
+                }
             }
+            _ => report.lost_sizes_exact = false,
         }
+        out
+    }
+
+    /// Whether a clean scan's frames agree with the trailer: it locates
+    /// through the trusted stream geometry, and every frame's offset, size
+    /// and slot, and the total, match what the scan recovered. For a legacy
+    /// trailer, which carries no checksum, this is the evidence that it is
+    /// intact.
+    fn trailer_agrees_with_scan(&self, out: &[u8], report: &RecoveryReport) -> bool {
+        if report.blocks_lost > 0 || report.resyncs > 0 {
+            return false;
+        }
+        let Ok((trailer, layouts)) = self.geometry() else { return false };
+        trailer.uncompressed_size == out.len() as u64
+            && layouts.len() == report.blocks.len()
+            && layouts.iter().zip(&report.blocks).all(|(l, b)| {
+                b.input_range == (l.frame_offset, l.end())
+                    && b.output_range.1 - b.output_range.0 == l.uncompressed_size
+            })
     }
 
     /// Whether `at` points at a *confirmed* end of stream: the zero-length
@@ -484,18 +519,24 @@ impl<'a> StreamSalvage<'a> {
             return false;
         }
         let rest = &self.bytes[at as usize + 1..];
-        rest.is_empty() || StreamTrailer::deserialize(rest, self.version == STREAM_FORMAT_VERSION).is_ok()
+        rest.is_empty() || StreamTrailer::deserialize(rest, self.prelude.checksummed()).is_ok()
     }
 }
 
-/// Locates and verifies the stream trailer from the tail of `bytes`.
-fn locate_trailer(bytes: &[u8], checksummed: bool) -> Option<StreamTrailer> {
-    if bytes.len() < 8 || bytes[bytes.len() - 4..] != TRAILER_MAGIC {
-        return None;
+/// Resizes the lost region `span` of a scan to `hole` output bytes,
+/// shifting every later record.
+fn resize_hole(out: &mut Vec<u8>, report: &mut RecoveryReport, span: usize, hole: u64) {
+    let (hole_start, old_end) = report.blocks[span].output_range;
+    let tail = out.split_off(old_end as usize);
+    out.truncate(hole_start as usize);
+    out.resize((hole_start + hole) as usize, 0);
+    out.extend_from_slice(&tail);
+    let new_end = hole_start + hole;
+    report.blocks[span].output_range = (hole_start, new_end);
+    for b in report.blocks[span + 1..].iter_mut() {
+        b.output_range = (b.output_range.0 - old_end + new_end, b.output_range.1 - old_end + new_end);
     }
-    let table_len = u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().ok()?) as usize;
-    let start = bytes.len().checked_sub(8 + table_len)?;
-    StreamTrailer::deserialize(&bytes[start..], checksummed).ok()
+    report.bytes_lost = hole;
 }
 
 impl crate::stream::StreamDecompressor {
@@ -518,48 +559,34 @@ impl crate::stream::StreamDecompressor {
 
     /// In-memory core of [`StreamDecompressor::salvage`].
     pub fn salvage_bytes(&self, bytes: &[u8]) -> Result<(Vec<u8>, RecoveryReport)> {
-        if bytes.len() < PRELUDE_HEAD_LEN || bytes[..4] != MAGIC {
-            return Err(GompressoError::Format(FormatError::BadMagic));
-        }
-        let head_len = prelude_len(bytes[4]).map_err(GompressoError::Format)?;
-        let prelude_bytes =
-            bytes.get(..head_len).ok_or(GompressoError::Format(FormatError::TruncatedBlock { block: 0 }))?;
-        let (prelude, head_intact) =
-            StreamPrelude::deserialize_lenient(prelude_bytes).map_err(GompressoError::Format)?;
-        let coder = TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?;
-        let checksummed = prelude.version == STREAM_FORMAT_VERSION;
+        let ((prelude, head_intact), frames_at) =
+            read_prelude(&mut &bytes[..], StreamPrelude::deserialize_lenient)?;
         let ctx = StreamSalvage {
             bytes,
-            config: self.config(),
-            coder,
-            version: prelude.version,
-            block_size: prelude.block_size as usize,
-            max_match_len: prelude.max_match_len,
-            legacy_uniform: prelude.legacy_uniform,
-            max_frame: 2 * prelude.block_size as u64 + 4096,
+            prelude: &prelude,
+            config: verifying(self.config()),
+            coder: TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?,
+            frames_at,
         };
-
         let mut report = RecoveryReport {
             head_intact,
-            trailer_intact: false,
-            checksummed,
+            checksummed: prelude.checksummed(),
             lost_sizes_exact: true,
             ..RecoveryReport::default()
         };
-        let mut out = Vec::new();
-        // Exact-offset salvage needs a trailer it can *trust*; only the v4
-        // trailer is checksummed. A structurally-parseable legacy trailer
-        // could be silently wrong and poison every frame offset, so legacy
-        // streams always take the scan path.
-        let trailer = if checksummed { locate_trailer(bytes, true) } else { None };
-        match trailer {
-            Some(trailer) => {
-                ctx.salvage_with_trailer(&trailer, head_len as u64, &mut out, &mut report);
+        let out = match ctx.trusted_geometry() {
+            Some((trailer, layouts)) => {
+                report.trailer_intact = true;
+                let slots = layouts.iter().map(|layout| ctx.exact_slot(layout));
+                let total = trailer.uncompressed_size;
+                salvage_slots(&ctx.config, &ctx.coder, prelude.max_match_len, total, slots, &mut report)
             }
             None => {
-                ctx.salvage_by_scan(prelude.uncompressed_size, head_len as u64, &mut out, &mut report);
+                let out = ctx.salvage_by_scan(&mut report);
+                report.trailer_intact = ctx.trailer_agrees_with_scan(&out, &report);
+                out
             }
-        }
+        };
         Ok((out, report))
     }
 }

@@ -65,16 +65,17 @@
 
 use crate::compress::{compress_block_with_scratch, COMPRESS_SCRATCH};
 use crate::config::{BlockPlan, CompressorConfig};
-use crate::decompress::{decompress_block_into, plausible_output_ceiling, DecompressorConfig};
+use crate::decompress::{admit_block, decompress_block_checked, DecompressorConfig, Slot};
+use crate::error::invalid_field;
 use crate::planner::{planner_for, BlockFeedback};
 use crate::{GompressoError, Result};
+use gompresso_bitstream::{ByteReader, ByteWriter};
 use gompresso_format::stream_frame::{
-    prelude_len, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, PRELUDE_LEN, STREAM_FORMAT_VERSION,
-    UNCOMPRESSED_SIZE_OFFSET,
+    prelude_len, write_frame_head, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, PRELUDE_LEN,
+    STREAM_FORMAT_VERSION, UNCOMPRESSED_SIZE_OFFSET,
 };
 use gompresso_format::{
-    content_checksum, token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, EncodingMode, FormatError,
-    BLOCK_CONFIG_LEN, MAGIC, MAX_BLOCK_COUNT,
+    content_checksum, token_code::TokenCoder, BlockConfig, FormatError, MAGIC, MAX_BLOCK_COUNT,
 };
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -200,8 +201,22 @@ fn varint_overflow() -> GompressoError {
     GompressoError::Format(FormatError::Stream(gompresso_bitstream::StreamError::VarintOverflow))
 }
 
-fn invalid_field(field: &'static str, value: u64) -> GompressoError {
-    GompressoError::Format(FormatError::InvalidHeaderField { field, value })
+/// Reads a stream prelude from the front of `r`: the magic + version head,
+/// then the version-sized rest, handed to `parse` (strict or lenient).
+/// Returns what `parse` made of it and the prelude's length, which is where
+/// the first frame starts. The one prelude fetch of every stream reader.
+pub(crate) fn read_prelude<R: Read, T>(
+    r: &mut R,
+    parse: impl FnOnce(&[u8]) -> gompresso_format::Result<T>,
+) -> Result<(T, u64)> {
+    let mut bytes = vec![0u8; PRELUDE_HEAD_LEN];
+    r.read_exact(&mut bytes)?;
+    if bytes[..4] != MAGIC {
+        return Err(GompressoError::Format(FormatError::BadMagic));
+    }
+    bytes.resize(prelude_len(bytes[4])?, 0);
+    r.read_exact(&mut bytes[PRELUDE_HEAD_LEN..])?;
+    Ok((parse(&bytes)?, bytes.len() as u64))
 }
 
 /// Granularity of the streaming decompressor's frame reads: the buffer for
@@ -599,20 +614,18 @@ impl StreamCompressor {
 
             drop(done_tx);
 
-            // Writer stage (this thread): emit framed blocks in order —
-            // varint payload length, the block's config record, the
-            // content checksum of its uncompressed bytes, the payload.
+            // Writer stage (this thread): emit framed blocks in order — the
+            // frame head (payload length, the block's config record, the
+            // content checksum of its uncompressed bytes), then the payload.
             first_error = writer_stage(&done_rx, &pool_tx, None, abort, |_, meta, payload| {
                 let len = u32::try_from(payload.len())
                     .map_err(|_| invalid_field("block_compressed_size", payload.len() as u64))?;
-                container_bytes += write_varint_io(writer, u64::from(len))?;
                 let meta = meta.expect("compressor frames always carry a config");
-                let mut cw = gompresso_bitstream::ByteWriter::with_capacity(BLOCK_CONFIG_LEN + 8);
-                meta.config.serialize(&mut cw);
-                cw.write_u64_le(meta.checksum);
-                writer.write_all(cw.as_slice())?;
+                let mut head = ByteWriter::new();
+                write_frame_head(&mut head, len, &meta.config, meta.checksum);
+                writer.write_all(head.as_slice())?;
                 writer.write_all(payload)?;
-                container_bytes += (BLOCK_CONFIG_LEN + 8) as u64 + u64::from(len);
+                container_bytes += (head.len() + payload.len()) as u64;
                 block_sizes.push(len);
                 Ok(())
             });
@@ -685,43 +698,21 @@ impl StreamDecompressor {
     pub fn decompress<R: Read + Send, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {
         let start = Instant::now();
         let mut counting = CountingReader { inner: reader, count: 0 };
-
-        // The prelude's length depends on its version byte: fetch the
-        // magic + version head, then the version-sized remainder.
-        let mut head = [0u8; PRELUDE_HEAD_LEN];
-        counting.read_exact(&mut head)?;
-        if head[..4] != MAGIC {
-            return Err(GompressoError::Format(FormatError::BadMagic));
-        }
-        let full_len = prelude_len(head[4]).map_err(GompressoError::Format)?;
-        let mut prelude_bytes = vec![0u8; full_len];
-        prelude_bytes[..PRELUDE_HEAD_LEN].copy_from_slice(&head);
-        counting.read_exact(&mut prelude_bytes[PRELUDE_HEAD_LEN..])?;
-        let prelude = StreamPrelude::deserialize(&prelude_bytes).map_err(GompressoError::Format)?;
+        let (prelude, _) = read_prelude(&mut counting, StreamPrelude::deserialize)?;
+        let prelude = &prelude;
         let coder = TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?;
         let block_size = prelude.block_size as usize;
-        let max_match_len = prelude.max_match_len;
-        // v2 frames carry no config; the prelude's synthesized uniform
-        // config applies to every block. Only v4 frames carry checksums.
-        let legacy_uniform = prelude.legacy_uniform;
-        let version = prelude.version;
 
         let workers = effective_workers(self.workers);
         let in_flight = blocks_in_flight(self.mem_budget, block_size, workers);
         let dconf = &self.config;
+        let (slot, max_match) = (Slot::UpTo(block_size as u64), prelude.max_match_len);
 
         let mut total_out = 0u64;
         let mut blocks_written = 0u64;
         let mut first_error: Option<GompressoError> = None;
         type ReaderOutcome = (StreamTrailer, Vec<u32>, Vec<BlockConfig>, u64);
         let mut reader_outcome: Option<Result<ReaderOutcome>> = None;
-        // No valid payload compresses a block to more than ~1.5× its
-        // uncompressed size (incompressible data costs the byte-mode run
-        // framing or the bit-mode code tables plus sub-block list, both a
-        // few percent); a frame declaring more than twice the block size
-        // can only come from a crafted stream, and is rejected *before*
-        // the frame buffer is sized from it.
-        let max_frame = 2 * block_size as u64 + 4096;
 
         // Shared pipeline state must outlive the scope's pool jobs.
         let abort = AtomicBool::new(false);
@@ -742,8 +733,8 @@ impl StreamDecompressor {
 
         rayon::scope(|s| {
             // Worker stage, spawned before the reader (see the module
-            // docs): validate each block's declared size, then decode into
-            // a per-block output buffer.
+            // docs): admit each block's declared size, then decode into a
+            // per-block output buffer.
             for _ in 0..workers {
                 let done_tx = done_tx.clone();
                 let coder = &coder;
@@ -756,20 +747,16 @@ impl StreamDecompressor {
                         // catch_unwind: see the compression worker.
                         catch_unwind(AssertUnwindSafe(|| {
                             let mut out = lock_unpoisoned(scrap_rx).try_recv().unwrap_or_default();
-                            match decode_stream_block(
-                                dconf,
-                                &config,
-                                coder,
-                                block_size,
-                                max_match_len,
-                                idx,
-                                &buf,
-                                &mut out,
-                            ) {
-                                Ok(()) => match verify_block_checksum(dconf, idx, checksum, &out) {
-                                    Ok(()) => BlockOutcome::Produced(out, None),
-                                    Err(e) => BlockOutcome::Failed(e.in_block(idx, Some(offset))),
-                                },
+                            // Resizing only zero-fills the grown tail of
+                            // the recycled buffer; a decode succeeds only
+                            // once every byte of it was written.
+                            let i = idx as usize;
+                            let decoded = admit_block(config.mode, &buf, slot, max_match).and_then(|n| {
+                                out.resize(n as usize, 0);
+                                decompress_block_checked(dconf, &config, coder, i, &buf, checksum, &mut out)
+                            });
+                            match decoded {
+                                Ok(()) => BlockOutcome::Produced(out, None),
                                 Err(e) => BlockOutcome::Failed(e.in_block(idx, Some(offset))),
                             }
                         }))
@@ -786,12 +773,12 @@ impl StreamDecompressor {
                 });
             }
             // Reader stage: split the stream into length-prefixed frames
-            // (parsing each v3 frame's config record), then swallow and
-            // parse the trailer.
+            // (parsing each frame head), then swallow and parse the trailer.
             let reader_handle = s.spawn(move || -> Result<ReaderOutcome> {
                 let mut r = counting;
                 let mut observed: Vec<u32> = Vec::new();
                 let mut configs: Vec<BlockConfig> = Vec::new();
+                let mut head = vec![0u8; prelude.frame_overhead()];
                 let mut idx = 0u64;
                 let on_err = |e: GompressoError| {
                     abort.store(true, Ordering::Relaxed);
@@ -806,28 +793,16 @@ impl StreamDecompressor {
                     if len == 0 {
                         break;
                     }
-                    if len > max_frame || len > u64::from(u32::MAX) {
+                    if len > prelude.max_payload_len() || len > u64::from(u32::MAX) {
                         return Err(on_err(invalid_field("block_compressed_size", len)));
                     }
                     if idx >= MAX_BLOCK_COUNT {
                         return Err(on_err(invalid_field("block_count", idx + 1)));
                     }
-                    let config = match legacy_uniform {
-                        Some(uniform) => uniform,
-                        None => {
-                            let mut config_bytes = [0u8; BLOCK_CONFIG_LEN];
-                            r.read_exact(&mut config_bytes).map_err(|e| on_err(truncated_block(e, idx)))?;
-                            BlockConfig::deserialize(&mut gompresso_bitstream::ByteReader::new(&config_bytes))
-                                .map_err(|e| on_err(GompressoError::Format(e)))?
-                        }
-                    };
-                    let checksum = if version == STREAM_FORMAT_VERSION {
-                        let mut sum = [0u8; 8];
-                        r.read_exact(&mut sum).map_err(|e| on_err(truncated_block(e, idx)))?;
-                        Some(u64::from_le_bytes(sum))
-                    } else {
-                        None
-                    };
+                    r.read_exact(&mut head).map_err(|e| on_err(truncated_block(e, idx)))?;
+                    let (config, checksum) = prelude
+                        .parse_frame_head(&mut ByteReader::new(&head))
+                        .map_err(|e| on_err(GompressoError::Format(e)))?;
                     let Ok(mut buf) = pool_rx.recv() else { break };
                     if abort.load(Ordering::Relaxed) {
                         return Err(on_err(invalid_field("aborted", idx)));
@@ -851,7 +826,7 @@ impl StreamDecompressor {
                 let cap = 64 + 5 * (observed.len() as u64 + 1);
                 let mut trailer_bytes = Vec::new();
                 (&mut r).take(cap + 1).read_to_end(&mut trailer_bytes).map_err(|e| on_err(e.into()))?;
-                let trailer = StreamTrailer::deserialize(&trailer_bytes, version == STREAM_FORMAT_VERSION)
+                let trailer = StreamTrailer::deserialize(&trailer_bytes, prelude.checksummed())
                     .map_err(|e| on_err(GompressoError::Format(e)))?;
                 Ok((trailer, observed, configs, r.count))
             });
@@ -926,52 +901,6 @@ impl StreamDecompressor {
     }
 }
 
-/// Validates and decodes one streamed block payload into `out` (a recycled
-/// output buffer; the declared size is checked against the block size and
-/// the payload-expansion ceiling *before* the buffer is sized from it).
-#[allow(clippy::too_many_arguments)]
-fn decode_stream_block(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_size: usize,
-    max_match_len: u32,
-    idx: u64,
-    payload: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let declared = match block.mode {
-        EncodingMode::Bit => BitBlock::peek_uncompressed_len(payload)?,
-        EncodingMode::Byte => ByteBlock::peek_uncompressed_len(payload)?,
-    };
-    if declared == 0 || declared > block_size as u64 {
-        return Err(invalid_field("block_uncompressed_size", declared));
-    }
-    if declared > plausible_output_ceiling(block.mode, payload.len() as u64, max_match_len) {
-        return Err(invalid_field("uncompressed_size", declared));
-    }
-    // No full re-zero of the recycled buffer: resize only zero-fills the
-    // grown tail, and decompress_block_into succeeds only when every byte
-    // of the destination was written (stale bytes can never leak — a
-    // failing block's buffer is dropped, not emitted).
-    out.resize(declared as usize, 0);
-    decompress_block_into(config, block, coder, idx as usize, payload, out)
-}
-
-/// Verifies a decoded block against the content checksum its v4 frame
-/// carried (a no-op for legacy frames or when verification is disabled).
-fn verify_block_checksum(
-    config: &DecompressorConfig,
-    idx: u64,
-    stored: Option<u64>,
-    out: &[u8],
-) -> Result<()> {
-    if !config.verify_checksums {
-        return Ok(());
-    }
-    crate::decompress::verify_block_checksum(idx, stored, out)
-}
-
 /// Compresses the file at `input` into a v4 streaming container at
 /// `output` with bounded memory, back-patching the prelude totals (the
 /// output file is seekable by construction). Uses the rayon pool size for
@@ -1003,7 +932,7 @@ mod tests {
     use crate::decompress::decompress;
     use gompresso_bitstream::ByteWriter;
     use gompresso_format::stream_frame::{LEGACY_STREAM_FORMAT_VERSION, TRAILER_MAGIC, UNKNOWN_TOTAL};
-    use gompresso_format::CompressedFile;
+    use gompresso_format::{CompressedFile, EncodingMode, BLOCK_CONFIG_LEN};
     use std::io::Cursor;
 
     /// Byte-for-byte the checksum-less trailer layout v2/v3 streams carry.

@@ -25,15 +25,16 @@
 //!   (the byte position right after the serialized header).
 //! * **Stream** ([`BlockIndex::from_stream`]) — combines the prelude and the
 //!   trailer's size table into exact frame offsets
-//!   ([`stream_frame_layout`]); the caller reads each frame's fixed-size
+//!   ([`stream_frame_layout`], which also rejects a table whose block count
+//!   disagrees with the total); the caller reads each frame's fixed-size
 //!   head and parses it with [`parse_stream_frame_head`] to recover the
 //!   per-block config (v3+) and content checksum (v4). Legacy v2 frames are
 //!   configless — the uniform config synthesized from the v2 prelude applies
 //!   to every block.
 
-use crate::block_config::{BlockConfig, BLOCK_CONFIG_LEN};
+use crate::block_config::BlockConfig;
 use crate::header::FileHeader;
-use crate::stream_frame::{StreamPrelude, StreamTrailer, STREAM_FORMAT_VERSION};
+use crate::stream_frame::{StreamPrelude, StreamTrailer};
 use crate::{FormatError, Result};
 use gompresso_bitstream::{read_varint, varint_len, ByteReader};
 use std::ops::Range;
@@ -113,14 +114,15 @@ impl BlockIndex {
     /// Builds the index from a stream prelude, its trailer, and the parsed
     /// frame heads (one `(config, checksum)` pair per block, in order — see
     /// [`parse_stream_frame_head`]). `frames_at` is the absolute offset of
-    /// the first frame (the prelude length).
+    /// the first frame (the prelude length). Rejects patched prelude totals
+    /// that disagree with the trailer and, through [`stream_frame_layout`],
+    /// a block count that disagrees with the total.
     pub fn from_stream(
         prelude: &StreamPrelude,
         trailer: &StreamTrailer,
         frames_at: u64,
         heads: Vec<(BlockConfig, Option<u64>)>,
     ) -> Result<Self> {
-        prelude.validate()?;
         let n = trailer.block_compressed_sizes.len();
         if heads.len() != n {
             return Err(FormatError::InvalidHeaderField { field: "frame_heads", value: heads.len() as u64 });
@@ -137,24 +139,17 @@ impl BlockIndex {
                 return Err(FormatError::InvalidHeaderField { field: "block_count", value: count });
             }
         }
-        let total = trailer.uncompressed_size;
         let block_size = u64::from(prelude.block_size);
-        let expected_blocks = if total == 0 { 0 } else { total.div_ceil(block_size) };
-        if expected_blocks != n as u64 {
-            return Err(FormatError::InvalidHeaderField { field: "uncompressed_size", value: total });
-        }
         let mut entries = Vec::with_capacity(n);
         for (layout, (config, checksum)) in
-            stream_frame_layout(prelude, trailer, frames_at).into_iter().zip(heads)
+            stream_frame_layout(prelude, trailer, frames_at)?.into_iter().zip(heads)
         {
             config.validate()?;
-            let idx = entries.len() as u64;
-            let uncompressed_offset = idx * block_size;
             entries.push(BlockEntry {
                 compressed_offset: layout.frame_offset + layout.head_len as u64,
                 compressed_size: layout.payload_len,
-                uncompressed_offset,
-                uncompressed_size: (total - uncompressed_offset).min(block_size),
+                uncompressed_offset: entries.len() as u64 * block_size,
+                uncompressed_size: layout.uncompressed_size,
                 config,
                 checksum,
             });
@@ -164,7 +159,7 @@ impl BlockIndex {
             min_match_len: prelude.min_match_len,
             max_match_len: prelude.max_match_len,
             block_size: prelude.block_size,
-            uncompressed_size: total,
+            uncompressed_size: trailer.uncompressed_size,
             entries,
         })
     }
@@ -257,34 +252,47 @@ pub struct FrameLayout {
     pub head_len: usize,
     /// Compressed payload size in bytes.
     pub payload_len: u32,
+    /// The block's slot in the output: the block size, or the remainder of
+    /// the total for the last block.
+    pub uncompressed_size: u64,
 }
 
-/// Fixed per-frame overhead besides the length varint and the payload: the
-/// config record (v3+) and the content checksum (v4).
-fn frame_overhead(prelude: &StreamPrelude) -> usize {
-    let config = if prelude.legacy_uniform.is_some() { 0 } else { BLOCK_CONFIG_LEN };
-    let checksum = if prelude.version == STREAM_FORMAT_VERSION { 8 } else { 0 };
-    config + checksum
+impl FrameLayout {
+    /// Absolute file offset just past the frame's payload.
+    pub fn end(&self) -> u64 {
+        self.frame_offset + self.head_len as u64 + u64::from(self.payload_len)
+    }
 }
 
-/// Computes every frame's exact byte position from the trailer's size
-/// table. `frames_at` is the offset of the first frame (the prelude
-/// length). The frame layout is deterministic given the version:
-/// `varint(payload_len) | config (v3+) | checksum (v4) | payload`.
+/// Computes every frame's exact byte position and output slot from the
+/// trailer's size table. `frames_at` is the offset of the first frame (the
+/// prelude length). The frame layout is deterministic given the version:
+/// `varint(payload_len) | config (v3+) | checksum (v4) | payload`. Fails
+/// when the table's block count disagrees with the trailer total and the
+/// prelude's block size.
 pub fn stream_frame_layout(
     prelude: &StreamPrelude,
     trailer: &StreamTrailer,
     frames_at: u64,
-) -> Vec<FrameLayout> {
-    let overhead = frame_overhead(prelude);
+) -> Result<Vec<FrameLayout>> {
+    prelude.validate()?;
+    let total = trailer.uncompressed_size;
+    let block_size = u64::from(prelude.block_size);
+    let n = trailer.block_compressed_sizes.len() as u64;
+    if total.div_ceil(block_size) != n {
+        return Err(FormatError::InvalidHeaderField { field: "uncompressed_size", value: total });
+    }
+    let overhead = prelude.frame_overhead();
     let mut layouts = Vec::with_capacity(trailer.block_compressed_sizes.len());
     let mut at = frames_at;
-    for &payload_len in &trailer.block_compressed_sizes {
+    for (idx, &payload_len) in trailer.block_compressed_sizes.iter().enumerate() {
         let head_len = varint_len(u64::from(payload_len)) + overhead;
-        layouts.push(FrameLayout { frame_offset: at, head_len, payload_len });
-        at += head_len as u64 + u64::from(payload_len);
+        let uncompressed_size = (total - idx as u64 * block_size).min(block_size);
+        let layout = FrameLayout { frame_offset: at, head_len, payload_len, uncompressed_size };
+        at = layout.end();
+        layouts.push(layout);
     }
-    layouts
+    Ok(layouts)
 }
 
 /// Parses one frame head (the `head_len` bytes at `frame_offset`) into the
@@ -301,16 +309,7 @@ pub fn parse_stream_frame_head(
     if declared != u64::from(layout.payload_len) {
         return Err(FormatError::InvalidHeaderField { field: "block_compressed_size", value: declared });
     }
-    let config = match prelude.legacy_uniform {
-        Some(uniform) => uniform,
-        None => BlockConfig::deserialize(&mut r)?,
-    };
-    let checksum = if prelude.version == STREAM_FORMAT_VERSION {
-        Some(r.read_u64_le().map_err(FormatError::Stream)?)
-    } else {
-        None
-    };
-    Ok((config, checksum))
+    prelude.parse_frame_head(&mut r)
 }
 
 #[cfg(test)]
@@ -318,6 +317,7 @@ mod tests {
     use super::*;
     use crate::block_config::ResolutionStrategy;
     use crate::header::EncodingMode;
+    use crate::stream_frame::STREAM_FORMAT_VERSION;
     use gompresso_bitstream::{write_varint, ByteWriter};
 
     fn sample_config() -> BlockConfig {
@@ -403,10 +403,18 @@ mod tests {
         let prelude = sample_prelude();
         let trailer =
             StreamTrailer { block_compressed_sizes: vec![200, 300, 128, 90], uncompressed_size: 1_000_000 };
-        let layouts = stream_frame_layout(&prelude, &trailer, 45);
+        let layouts = stream_frame_layout(&prelude, &trailer, 45).unwrap();
         // v4 frames: varint + 8-byte config + 8-byte checksum before the
         // payload. All sizes here need 2-byte varints except 90.
-        assert_eq!(layouts[0], FrameLayout { frame_offset: 45, head_len: 2 + 8 + 8, payload_len: 200 });
+        assert_eq!(
+            layouts[0],
+            FrameLayout {
+                frame_offset: 45,
+                head_len: 2 + 8 + 8,
+                payload_len: 200,
+                uncompressed_size: 256 * 1024
+            }
+        );
         assert_eq!(layouts[1].frame_offset, 45 + 18 + 200);
         assert_eq!(layouts[3].head_len, 1 + 8 + 8);
 
@@ -441,7 +449,7 @@ mod tests {
             ..sample_prelude()
         };
         let trailer = StreamTrailer { block_compressed_sizes: vec![100, 50], uncompressed_size: 300_000 };
-        let layouts = stream_frame_layout(&prelude, &trailer, 43);
+        let layouts = stream_frame_layout(&prelude, &trailer, 43).unwrap();
         // v2 frames carry neither config nor checksum.
         assert_eq!(layouts[0].head_len, 1);
         let mut w = ByteWriter::new();

@@ -35,11 +35,17 @@
 //! [`PRELUDE_HEAD_LEN`] bytes first, size the rest with [`prelude_len`],
 //! and hand the whole thing to [`StreamPrelude::deserialize`].
 //!
+//! This module is the one definition of the frame head: the parsed
+//! prelude says what follows each length varint
+//! ([`StreamPrelude::frame_overhead`], [`StreamPrelude::parse_frame_head`],
+//! [`StreamPrelude::checksummed`]), and [`write_frame_head`] is the
+//! compressor's only way to emit one.
+//!
 //! Everything here is pure in-memory (de)serialization; the actual
 //! `std::io` plumbing lives in `gompresso-core::stream`, which is also where
 //! the framing is cross-checked against what was actually read.
 
-use crate::block_config::BlockConfig;
+use crate::block_config::{BlockConfig, BLOCK_CONFIG_LEN};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::header::{EncodingMode, FileHeader, MAX_BLOCK_COUNT};
 use crate::{FormatError, Result, MAGIC};
@@ -265,13 +271,40 @@ impl StreamPrelude {
         Ok((prelude, checksum_ok))
     }
 
-    /// Patches the two total fields of an already-serialized v4 prelude in
-    /// place (what a seekable writer does after the trailer is out). The
-    /// totals sit after the prelude checksum, so no re-hash is needed.
-    pub fn patch_totals(buf: &mut [u8; PRELUDE_LEN], uncompressed_size: u64, block_count: u64) {
-        buf[UNCOMPRESSED_SIZE_OFFSET..UNCOMPRESSED_SIZE_OFFSET + 8]
-            .copy_from_slice(&uncompressed_size.to_le_bytes());
-        buf[BLOCK_COUNT_OFFSET..BLOCK_COUNT_OFFSET + 8].copy_from_slice(&block_count.to_le_bytes());
+    /// Whether this stream's frames and trailer carry XXH64 checksums (v4).
+    pub fn checksummed(&self) -> bool {
+        self.version == STREAM_FORMAT_VERSION
+    }
+
+    /// Fixed per-frame bytes between the length varint and the payload:
+    /// the config record (v3+) and the content checksum (v4).
+    pub fn frame_overhead(&self) -> usize {
+        let config = if self.legacy_uniform.is_some() { 0 } else { BLOCK_CONFIG_LEN };
+        let checksum = if self.checksummed() { 8 } else { 0 };
+        config + checksum
+    }
+
+    /// Largest payload length a frame may declare. No valid payload
+    /// compresses a block to more than ~1.5× its size (incompressible data
+    /// costs the byte-mode run framing or the bit-mode code tables plus
+    /// sub-block list, both a few percent), so a longer frame can only
+    /// come from a crafted stream and is rejected before any buffer is
+    /// sized from it.
+    pub fn max_payload_len(&self) -> u64 {
+        2 * u64::from(self.block_size) + 4096
+    }
+
+    /// Parses the [`frame_overhead`](Self::frame_overhead) bytes that
+    /// follow a frame's length varint into the block's config (the
+    /// prelude's uniform config for configless v2 frames) and its content
+    /// checksum (`None` before v4).
+    pub fn parse_frame_head(&self, r: &mut ByteReader<'_>) -> Result<(BlockConfig, Option<u64>)> {
+        let config = match self.legacy_uniform {
+            Some(uniform) => uniform,
+            None => BlockConfig::deserialize(r)?,
+        };
+        let checksum = if self.checksummed() { Some(r.read_u64_le()?) } else { None };
+        Ok((config, checksum))
     }
 
     /// Converts the prelude plus the (now known) block tables into a
@@ -294,6 +327,15 @@ impl StreamPrelude {
             block_checksums: Vec::new(),
         }
     }
+}
+
+/// Writes the head of a current-version block frame:
+/// `varint(payload_len) | config | checksum`, where `checksum` is the
+/// content checksum of the block's uncompressed bytes.
+pub fn write_frame_head(w: &mut ByteWriter, payload_len: u32, config: &BlockConfig, checksum: u64) {
+    write_varint(w, u64::from(payload_len));
+    config.serialize(w);
+    w.write_u64_le(checksum);
 }
 
 /// The stream trailer: the complete block-size table plus the uncompressed
@@ -448,13 +490,30 @@ mod tests {
     }
 
     #[test]
-    fn patch_totals_turns_sentinels_into_values() {
+    fn frame_head_roundtrips_at_every_version() {
+        let config = BlockConfig::legacy_uniform(EncodingMode::Bit, 16, 10);
+        let mut w = ByteWriter::new();
+        write_frame_head(&mut w, 300, &config, 0xFEED);
+        let head = w.finish();
         let p = sample_prelude();
-        let mut bytes = p.serialize();
-        StreamPrelude::patch_totals(&mut bytes, 123_456, 7);
-        let patched = StreamPrelude::deserialize(&bytes).unwrap();
-        assert_eq!(patched.uncompressed_size, Some(123_456));
-        assert_eq!(patched.block_count, Some(7));
+        assert_eq!(head.len(), 2 + p.frame_overhead());
+        let mut r = ByteReader::new(&head);
+        assert_eq!(read_varint(&mut r).unwrap(), 300);
+        assert_eq!(p.parse_frame_head(&mut r).unwrap(), (config, Some(0xFEED)));
+        assert!(r.is_empty());
+        // v3 frames carry a config but no checksum; v2 frames neither.
+        let v3 = StreamPrelude { version: LEGACY_STREAM_FORMAT_VERSION_V3, ..sample_prelude() };
+        assert_eq!(v3.frame_overhead(), BLOCK_CONFIG_LEN);
+        assert_eq!(v3.parse_frame_head(&mut ByteReader::new(&head[2..])).unwrap(), (config, None));
+        let v2 = StreamPrelude::deserialize(&legacy_v2_bytes(0, 16, 10)).unwrap();
+        assert_eq!(v2.frame_overhead(), 0);
+        assert!(!v2.checksummed() && !v3.checksummed() && p.checksummed());
+        assert_eq!(
+            v2.parse_frame_head(&mut ByteReader::new(&[])).unwrap(),
+            (v2.legacy_uniform.unwrap(), None)
+        );
+        // A v4 head cut inside its checksum does not parse.
+        assert!(p.parse_frame_head(&mut ByteReader::new(&head[2..head.len() - 1])).is_err());
     }
 
     #[test]

@@ -11,9 +11,15 @@
 //! small multi-block archive) and seeded-random where it cannot
 //! ([`FaultPlan::random_flips`]); both are fully deterministic.
 
+use gompresso::substrate::bitstream::{write_varint, ByteWriter};
+use gompresso::substrate::format::stream_frame::{
+    StreamPrelude, StreamTrailer, PRELUDE_LEN, UNCOMPRESSED_SIZE_OFFSET,
+};
+use gompresso::substrate::format::{BlockPayload, FileHeader};
 use gompresso::{
-    compress, decompress, decompress_salvage, CompressedFile, CompressorConfig, DecompressorConfig,
-    FaultPlan, FaultReader, GompressoError, StreamCompressor, StreamDecompressor,
+    compress, decompress, decompress_salvage, ArchiveReader, BlockConfig, CompressedFile, CompressorConfig,
+    DecompressorConfig, EncodingMode, FaultPlan, FaultReader, GompressoError, RecoveryReport,
+    StreamCompressor, StreamDecompressor,
 };
 use std::io::Cursor;
 use std::path::Path;
@@ -22,9 +28,14 @@ use std::path::Path;
 /// per-block effects are distinguishable, small enough that the exhaustive
 /// bit-flip sweep stays fast.
 fn test_input() -> Vec<u8> {
-    let mut data = Vec::with_capacity(2200);
+    text_input(2200)
+}
+
+/// `len` bytes of the same mildly compressible text.
+fn text_input(len: usize) -> Vec<u8> {
+    let mut data = Vec::with_capacity(len);
     let mut x = 0x2545_F491_4F6C_DD1D_u64;
-    while data.len() < 2200 {
+    while data.len() < len {
         data.extend_from_slice(b"the quick brown fox jumps over the lazy dog -- ");
         // A sprinkle of deterministic noise so blocks aren't identical.
         x ^= x << 13;
@@ -32,7 +43,7 @@ fn test_input() -> Vec<u8> {
         x ^= x << 17;
         data.push((x & 0xFF) as u8);
     }
-    data.truncate(2200);
+    data.truncate(len);
     data
 }
 
@@ -270,6 +281,221 @@ fn container_salvage_survives_header_checksum_damage() {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile archives: salvage never sizes output from a number the strict
+// readers reject. Each forged size is 256 MiB, so a salvage that trusted it
+// fails the output-size assertion instead of exhausting the machine.
+// ---------------------------------------------------------------------------
+
+const FORGED: u64 = 256 << 20;
+
+/// The 200,000-byte, seven-frame archive the hostile streams start from
+/// (32 KiB blocks, prelude totals back-patched).
+fn probe_data() -> Vec<u8> {
+    text_input(200_000)
+}
+
+fn probe_stream(data: &[u8]) -> Vec<u8> {
+    let mut config = CompressorConfig::bit_de();
+    config.block_size = 32 * 1024;
+    let mut cursor = Cursor::new(Vec::new());
+    StreamCompressor::new(config).unwrap().compress_seekable(data, &mut cursor).unwrap();
+    cursor.into_inner()
+}
+
+/// Offset of the stream trailer, located from the tail fields.
+fn trailer_start(stream: &[u8]) -> usize {
+    let table_len = u32::from_le_bytes(stream[stream.len() - 8..stream.len() - 4].try_into().unwrap());
+    stream.len() - 8 - table_len as usize
+}
+
+fn salvage_stream(stream: &[u8], config: DecompressorConfig) -> (Vec<u8>, RecoveryReport) {
+    StreamDecompressor::new(config).salvage_bytes(stream).unwrap()
+}
+
+/// Every recovered record of a salvage of `data`'s stream holds the
+/// original bytes, and the output stays far below any forged size.
+fn assert_small_and_exact(out: &[u8], report: &RecoveryReport, data: &[u8]) {
+    assert!(out.len() < 1 << 20, "salvage output of {} bytes was sized from a forged number", out.len());
+    for record in report.blocks.iter().filter(|b| b.status.is_recovered()) {
+        let (s, e) = (record.output_range.0 as usize, record.output_range.1 as usize);
+        assert_eq!(&out[s..e], &data[s..e], "recovered block {} differs", record.block);
+    }
+}
+
+/// A byte-mode payload with no sequences that declares `declared` output
+/// bytes (7 bytes for a 256 MiB claim).
+fn empty_payload_declaring(declared: u64) -> BlockPayload {
+    let mut w = ByteWriter::new();
+    write_varint(&mut w, 0); // n_sequences
+    write_varint(&mut w, declared);
+    write_varint(&mut w, 0); // data length
+    BlockPayload { bytes: w.finish() }
+}
+
+#[test]
+fn container_salvage_rejects_a_block_grid_strict_decode_rejects() {
+    // One 256 MiB block, then three 64 MiB blocks, each from a 7-byte
+    // payload: strict decode rejects the grid before allocating, and
+    // salvage must return the same error instead of zero-filling it.
+    for (n_blocks, block_size) in [(1usize, FORGED), (3, FORGED / 4)] {
+        let header = FileHeader {
+            window_size: 8 * 1024,
+            min_match_len: 3,
+            max_match_len: 64,
+            uncompressed_size: block_size * n_blocks as u64,
+            block_size: block_size as u32,
+            block_configs: vec![BlockConfig::legacy_uniform(EncodingMode::Byte, 16, 0); n_blocks],
+            block_compressed_sizes: vec![],
+            block_checksums: vec![],
+        };
+        let payloads = (0..n_blocks).map(|_| empty_payload_declaring(block_size)).collect();
+        let archive = CompressedFile::new(header, payloads).unwrap().serialize();
+        let strict = container_decode(&archive).expect_err("strict decode must reject the grid");
+        let salvaged = decompress_salvage(&archive, &DecompressorConfig::default());
+        assert_eq!(salvaged.err(), Some(strict), "{n_blocks} block(s)");
+    }
+}
+
+#[test]
+fn stream_salvage_distrusts_a_forged_trailer_total() {
+    // The trailer's total is rewritten to 256 MiB for seven frames and the
+    // trailer re-checksummed: the strict readers reject the block count,
+    // so salvage must scan instead of placing frames by that table.
+    let data = probe_data();
+    let stream = probe_stream(&data);
+    let at = trailer_start(&stream);
+    let mut trailer = StreamTrailer::deserialize(&stream[at..], true).unwrap();
+    trailer.uncompressed_size = FORGED;
+    let mut forged = stream[..at].to_vec();
+    forged.extend_from_slice(&trailer.serialize());
+    assert!(stream_decode(&forged).is_err());
+    assert!(ArchiveReader::open(Cursor::new(&forged)).is_err());
+    let (out, report) = salvage_stream(&forged, DecompressorConfig::default());
+    assert!(!report.trailer_intact);
+    assert_small_and_exact(&out, &report, &data);
+    assert_eq!(out, data, "every frame is intact");
+}
+
+#[test]
+fn stream_salvage_distrusts_implausible_frame_slots() {
+    // One frame twice, under a re-checksummed prelude declaring 256 MiB
+    // blocks and a consistent, checksummed trailer: the table tiles the
+    // file, but a few hundred payload bytes cannot fill a 256 MiB slot.
+    let data = test_input();
+    let mut config = small_block_config();
+    config.block_size = data.len();
+    let mut stream = Vec::new();
+    StreamCompressor::new(config).unwrap().compress(data.as_slice(), &mut stream).unwrap();
+    let prelude = StreamPrelude::deserialize(&stream[..PRELUDE_LEN]).unwrap();
+    let at = trailer_start(&stream);
+    let frame = &stream[PRELUDE_LEN..at - 1]; // up to the zero-length terminator
+    let payload_len = StreamTrailer::deserialize(&stream[at..], true).unwrap().block_compressed_sizes[0];
+
+    let mut forged = StreamPrelude { block_size: FORGED as u32, ..prelude }.serialize().to_vec();
+    forged.extend_from_slice(frame);
+    forged.extend_from_slice(frame);
+    forged.push(0);
+    let trailer = StreamTrailer {
+        block_compressed_sizes: vec![payload_len; 2],
+        uncompressed_size: FORGED + data.len() as u64,
+    };
+    forged.extend_from_slice(&trailer.serialize());
+    assert!(ArchiveReader::open(Cursor::new(&forged)).unwrap().decompress_range(0..1).is_err());
+
+    let (out, report) = salvage_stream(&forged, DecompressorConfig::default());
+    assert!(!report.trailer_intact);
+    assert!(out.len() < 1 << 20, "salvage output of {} bytes was sized from a forged slot", out.len());
+    assert_eq!(report.blocks_recovered, 2, "both copies of the frame are intact");
+    assert_eq!(out, [data.as_slice(), data.as_slice()].concat());
+}
+
+#[test]
+fn stream_scan_does_not_size_a_mid_stream_gap_from_a_forged_total() {
+    // The prelude total sits outside the prelude checksum; forged to
+    // 256 MiB, it must not size a gap of a few hundred input bytes.
+    let data = probe_data();
+    let stream = probe_stream(&data);
+    let mid = ArchiveReader::open(Cursor::new(&stream)).unwrap().index().entry(3).clone();
+    let mut damaged = FaultPlan::clean()
+        .flip(mid.compressed_offset + u64::from(mid.compressed_size) / 2, 2)
+        .flip(stream.len() as u64 - 1, 0)
+        .apply_to(&stream);
+    damaged[UNCOMPRESSED_SIZE_OFFSET..UNCOMPRESSED_SIZE_OFFSET + 8].copy_from_slice(&FORGED.to_le_bytes());
+    let (out, report) = salvage_stream(&damaged, DecompressorConfig::default());
+    assert_eq!(report.blocks_lost, 1);
+    assert!(!report.lost_sizes_exact, "the forged total cannot size the gap");
+    assert_small_and_exact(&out, &report, &data);
+}
+
+#[test]
+fn stream_scan_never_uses_a_total_above_max_output_size() {
+    // A truncated stream's gap runs to the end of the input, so it may take
+    // the declared total, but never one above the output cap.
+    let data = probe_data();
+    let stream = probe_stream(&data);
+    let mut damaged = stream[..stream.len() * 6 / 10].to_vec();
+    damaged[UNCOMPRESSED_SIZE_OFFSET..UNCOMPRESSED_SIZE_OFFSET + 8].copy_from_slice(&FORGED.to_le_bytes());
+    let capped = DecompressorConfig { max_output_size: 64 << 20, ..DecompressorConfig::default() };
+    let (out, report) = salvage_stream(&damaged, capped);
+    assert!(!report.lost_sizes_exact);
+    assert_small_and_exact(&out, &report, &data);
+
+    // Nor do recovered frames: an intact stream larger than the cap comes
+    // back only up to the cap, its remainder reported lost.
+    let capped = DecompressorConfig { max_output_size: 100_000, ..DecompressorConfig::default() };
+    let (out, report) = salvage_stream(&stream, capped);
+    assert!(out.len() <= 100_000, "salvage output of {} bytes exceeds the cap", out.len());
+    assert!(!report.is_complete());
+    assert_small_and_exact(&out, &report, &data);
+}
+
+#[test]
+fn stream_scan_caps_a_provisional_hole_by_its_gap() {
+    // A valid prelude declaring 256 MiB blocks, then 19 bytes of garbage:
+    // the provisional one-block hole may not exceed what 19 bytes expand to.
+    let prelude = StreamPrelude {
+        version: 4,
+        window_size: 8 * 1024,
+        min_match_len: 3,
+        max_match_len: 64,
+        block_size: FORGED as u32,
+        uncompressed_size: None,
+        block_count: None,
+        legacy_uniform: None,
+    };
+    let mut forged = prelude.serialize().to_vec();
+    forged.extend_from_slice(&[0x5A; 19]);
+    let (out, report) = salvage_stream(&forged, DecompressorConfig::default());
+    assert_eq!(report.blocks_lost, 1);
+    assert!(!report.lost_sizes_exact);
+    assert!(out.len() < 1 << 20, "a 19-byte gap became a {}-byte hole", out.len());
+}
+
+#[test]
+fn stream_cut_at_a_frame_boundary_reports_the_missing_tail() {
+    let data = probe_data();
+    let stream = probe_stream(&data);
+    let third = ArchiveReader::open(Cursor::new(&stream)).unwrap().index().entry(2).clone();
+    let cut = third.compressed_offset + u64::from(third.compressed_size);
+    let (out, report) = salvage_stream(&stream[..cut as usize], DecompressorConfig::default());
+    assert!(!report.is_complete(), "the prelude declares {} bytes; the frames end short", data.len());
+    assert_eq!(report.blocks_lost, 1);
+    let tail = report.blocks.last().unwrap();
+    assert!(!tail.status.is_recovered());
+    assert_eq!(tail.input_range, (cut, cut));
+    assert_eq!(tail.output_range, (third.uncompressed_offset + third.uncompressed_size, data.len() as u64));
+    assert!(report.lost_sizes_exact);
+    assert_eq!(out.len(), data.len());
+    assert_small_and_exact(&out, &report, &data);
+
+    // A cut inside a frame leaves the same single tail region.
+    let (out, report) = salvage_stream(&stream[..stream.len() * 6 / 10], DecompressorConfig::default());
+    assert_eq!(out.len(), data.len());
+    assert!(report.lost_sizes_exact);
+    assert_small_and_exact(&out, &report, &data);
+}
+
+// ---------------------------------------------------------------------------
 // Random-access damage locality: a flip in block k fails exactly the
 // ranges that touch block k.
 // ---------------------------------------------------------------------------
@@ -418,6 +644,35 @@ fn damaged_container_fixture_fails_strict_and_salvages() {
     for record in report.blocks.iter().filter(|b| b.status.is_recovered()) {
         let (s, e) = (record.output_range.0 as usize, record.output_range.1 as usize);
         assert_eq!(&out[s..e], &input[s..e], "recovered block {} differs", record.block);
+    }
+}
+
+#[test]
+fn intact_fixtures_salvage_completely() {
+    let input = fixture("fixture_input.bin");
+    for name in [
+        "v1_bit_de.gpso",
+        "v1_byte.gpso",
+        "v3_bit_de.gpso",
+        "v3_byte.gpso",
+        "v4_bit_de.gpso",
+        "v2_bit.gpsos",
+        "v2_byte_de.gpsos",
+        "v3_bit.gpsos",
+        "v3_byte_de.gpsos",
+        "v4_bit_de.gpsos",
+    ] {
+        let archive = fixture(name);
+        let (out, report) = if name.ends_with(".gpsos") {
+            salvage_stream(&archive, DecompressorConfig::default())
+        } else {
+            decompress_salvage(&archive, &DecompressorConfig::default()).unwrap()
+        };
+        assert!(report.is_complete(), "{name}: {report:?}");
+        assert_eq!(out, input, "{name}");
+        assert_eq!(report.checksummed, name.starts_with("v4"), "{name}");
+        assert!(report.head_intact && report.trailer_intact, "{name}: {report:?}");
+        assert_eq!(report.resyncs, 0, "{name}");
     }
 }
 
