@@ -274,9 +274,9 @@ fn bench_wild_copy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_interleaved_decode(c: &mut Criterion) {
-    // Interleaved multi-stream sub-block decode at S = 1/2/4/8 against the
-    // sequential (batched decode_run) walk, over a realistic 1 MiB block.
+fn bench_sub_block_decode(c: &mut Criterion) {
+    // The one-pass block decoder against the checked per-sub-block walk
+    // (batched decode_run), over a realistic 1 MiB block.
     let data = wikipedia_data(1 << 20);
     let cfg = MatcherConfig::gompresso();
     let coder =
@@ -301,44 +301,24 @@ fn bench_interleaved_decode(c: &mut Criterion) {
             sequences.len() + literals.len()
         });
     });
-    macro_rules! interleave_case {
-        ($s:literal) => {
-            group.bench_function(concat!("interleaved_s", $s), |b| {
-                let mut scratch = InterleaveScratch::default();
-                b.iter(|| {
-                    let mut sequences = Vec::new();
-                    let mut literals = Vec::new();
-                    let mut stats = Vec::new();
-                    let mut bit_cursor = 0u64;
-                    for start in (0..n).step_by(32) {
-                        let count = 32.min(n - start);
-                        bit.decode_sub_blocks_interleaved::<$s>(
-                            start,
-                            count,
-                            bit_cursor,
-                            &coder,
-                            &lit_dec,
-                            &off_dec,
-                            &mut scratch,
-                            &mut sequences,
-                            &mut literals,
-                            &mut stats,
-                        )
-                        .unwrap();
-                        bit_cursor += bit.sub_block_bits[start..start + count]
-                            .iter()
-                            .map(|&b| u64::from(b))
-                            .sum::<u64>();
-                    }
-                    sequences.len() + literals.len()
-                });
-            });
-        };
-    }
-    interleave_case!(1);
-    interleave_case!(2);
-    interleave_case!(4);
-    interleave_case!(8);
+    group.bench_function("decode_block_1mib", |b| {
+        let mut scratch = InterleaveScratch::default();
+        b.iter(|| {
+            let (mut sequences, mut literals, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+            bit.decode_sub_blocks(
+                0..n,
+                &coder,
+                &lit_dec,
+                &off_dec,
+                &mut scratch,
+                &mut sequences,
+                &mut literals,
+                &mut stats,
+            )
+            .unwrap();
+            sequences.len() + literals.len()
+        });
+    });
     group.finish();
 }
 
@@ -426,7 +406,7 @@ criterion_group!(
     bench_match_len,
     bench_huffman,
     bench_wild_copy,
-    bench_interleaved_decode,
+    bench_sub_block_decode,
     bench_block_encode,
     bench_lut_layout,
     bench_matcher

@@ -436,8 +436,8 @@ mod tests {
 
     #[test]
     fn multiple_cursors_over_one_slice_are_independent() {
-        // The interleaved sub-block decoder keeps several readers live over
-        // the same backing slice; advancing one must not disturb another.
+        // Each sub-block decode opens its own reader over the block's one
+        // backing slice; advancing one must not disturb another.
         let bytes = written(&[(0xABC, 12), (0x5A5, 12), (0x30F, 12)]);
         let mut a = BitReader::at_bit_offset(&bytes, 0).unwrap();
         let mut b = BitReader::at_bit_offset(&bytes, 12).unwrap();

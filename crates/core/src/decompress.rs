@@ -7,9 +7,10 @@
 //! * **intra-block** — within each block, the paper's 32-lane warp performs
 //!   parallel Huffman decoding (one sub-block per lane, Gompresso/Bit only)
 //!   followed by warp-level LZ77 decompression with the block's
-//!   back-reference resolution strategy. The host interleaves sub-block
-//!   bitstreams per worker and executes the decoded sequences in order;
-//!   the warp itself exists only in the simulation (see below).
+//!   back-reference resolution strategy. The host decodes a block's
+//!   sub-blocks one after another in one pass and executes the decoded
+//!   sequences in order; the warp itself exists only in the simulation
+//!   (see below).
 //!
 //! Since the v3 container every block carries its own [`BlockConfig`], so a
 //! single file may mix Huffman and byte-coded blocks and mix resolution
@@ -56,12 +57,6 @@ const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
 /// Bytes written to device memory per decoded token (the decoder's output
 /// token stream that the LZ77 kernel later consumes).
 const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
-
-/// Interleaved bitstream cursors a worker keeps live while Huffman-decoding
-/// a block's sub-blocks — the CPU stand-in for one-sub-block-per-lane. Four
-/// independent decode chains cover the L1 load-to-use latency of the table
-/// lookups without spilling the round-robin state out of registers.
-const INTERLEAVE_STREAMS: usize = 4;
 
 /// Decompressor configuration.
 #[derive(Debug, Clone)]
@@ -133,12 +128,12 @@ struct BlockSimulation {
 }
 
 /// Per-worker decode scratch: the block-level sequence/literal buffers, the
-/// interleaved-decode lane staging, the per-sub-block stats vector and the
-/// output buffer simulated blocks are walked into.
+/// cached token tables, the per-sub-block stats vector and the output
+/// buffer simulated blocks are walked into.
 #[derive(Default)]
 struct DecodeScratch {
     seq_block: SequenceBlock,
-    interleave: InterleaveScratch,
+    tokens: InterleaveScratch,
     stats: Vec<SubBlockStats>,
     simulated: Vec<u8>,
 }
@@ -316,7 +311,7 @@ fn decode_sequences(
                 coder,
                 payload.len(),
                 seq_block,
-                &mut scratch.interleave,
+                &mut scratch.tokens,
                 &mut scratch.stats,
                 model,
             )?;
@@ -490,26 +485,42 @@ fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
 /// Parallel Huffman decoding of one block: each lane of the simulated warp
 /// decodes one sub-block using the block's two shared decode LUTs.
 ///
-/// The host decode runs [`INTERLEAVE_STREAMS`] sub-block bitstreams
-/// concurrently per worker (round-robined table lookups over independent
-/// cursors — the instruction-level-parallel analogue of one sub-block per
-/// warp lane). When `model` is given, the decode kernel's warp is charged
-/// for the payload read and the shared-memory LUTs, and then per lock-step
-/// group of [`WARP_SIZE`] sub-blocks from the per-sub-block stats, exactly
-/// as the sequential walk charged them; the host path passes `None` and
-/// charges nothing.
+/// The host decodes every sub-block in one call to
+/// [`BitBlock::decode_sub_blocks`]. When `model` is given, the decode
+/// kernel's warp is charged for the payload read and the shared-memory
+/// LUTs, and then per lock-step group of [`WARP_SIZE`] sub-blocks from the
+/// per-sub-block stats; the host path passes `None` and charges nothing.
 fn decode_bit_block(
     bit: &BitBlock,
     coder: &TokenCoder,
     payload_bytes: usize,
     seq_block: &mut SequenceBlock,
-    interleave: &mut InterleaveScratch,
+    tokens: &mut InterleaveScratch,
     stats: &mut Vec<SubBlockStats>,
-    mut model: Option<&mut Warp>,
+    model: Option<&mut Warp>,
 ) -> Result<()> {
     let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
     let offset_dec = DecodeTable::new(&bit.offset_code)?;
-    if let Some(warp) = model.as_deref_mut() {
+    let sequences = &mut seq_block.sequences;
+    let literals = &mut seq_block.literals;
+    sequences.clear();
+    literals.clear();
+    sequences.reserve((bit.n_sequences as usize).min(bit.bitstream.len().saturating_mul(8)));
+    literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
+    seq_block.uncompressed_len = bit.uncompressed_len as usize;
+    stats.clear();
+    bit.decode_sub_blocks(
+        0..bit.sub_block_count(),
+        coder,
+        &lit_len_dec,
+        &offset_dec,
+        tokens,
+        sequences,
+        literals,
+        stats,
+    )?;
+
+    if let Some(warp) = model {
         // The compressed block is staged in device memory; reading it is a
         // coalesced streaming read.
         warp.global_read(payload_bytes as u64, true);
@@ -518,41 +529,12 @@ fn decode_bit_block(
         let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
         warp.shared_write(lut_bytes);
         warp.charge_instructions(lut_bytes / 4);
-    }
-
-    let n_sub_blocks = bit.sub_block_count();
-    let sequences = &mut seq_block.sequences;
-    let literals = &mut seq_block.literals;
-    sequences.clear();
-    literals.clear();
-    sequences.reserve((bit.n_sequences as usize).min(bit.bitstream.len().saturating_mul(8)));
-    literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
-    seq_block.uncompressed_len = bit.uncompressed_len as usize;
-
-    // Lanes process sub-blocks 32 at a time in lock step; within a group
-    // the interleaved decoder drains them in chunks of INTERLEAVE_STREAMS,
-    // appending into the block-level scratch buffers in sub-block order.
-    // The bit cursor advances incrementally so seeking each sub-block is
-    // O(1) instead of a per-sub-block prefix sum.
-    let mut bit_cursor = 0u64;
-    for group_start in (0..n_sub_blocks).step_by(WARP_SIZE) {
-        let group_end = (group_start + WARP_SIZE).min(n_sub_blocks);
-        stats.clear();
-        bit.decode_sub_blocks_interleaved::<INTERLEAVE_STREAMS>(
-            group_start,
-            group_end - group_start,
-            bit_cursor,
-            coder,
-            &lit_len_dec,
-            &offset_dec,
-            interleave,
-            sequences,
-            literals,
-            stats,
-        )?;
-        bit_cursor += bit.sub_block_bits[group_start..group_end].iter().map(|&b| u64::from(b)).sum::<u64>();
-        if let Some(warp) = model.as_deref_mut() {
-            charge_decode_group(warp, stats, literals.len() as u64);
+        // Lanes process sub-blocks 32 at a time in lock step; each group is
+        // charged with the block's literal bytes decoded up to its end.
+        let mut literals_so_far = 0u64;
+        for group in stats.chunks(WARP_SIZE) {
+            literals_so_far += group.iter().map(|s| u64::from(s.literals)).sum::<u64>();
+            charge_decode_group(warp, group, literals_so_far);
         }
     }
     Ok(())

@@ -11,8 +11,9 @@
 use crate::token_code::{TokenCoder, TokenEncodeTables, TokenTables, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
 use crate::{FormatError, Result};
 use gompresso_bitstream::{read_varint, write_varint, BitReader, BitWriter, ByteReader, ByteWriter};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters};
+use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, HuffmanError, StripeCounters};
 use gompresso_lz77::{Sequence, SequenceBlock};
+use std::ops::Range;
 
 /// A Huffman-coded data block with sub-block index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -401,10 +402,11 @@ impl BitBlock {
     /// Decodes one sub-block, *appending* its sequences and literal bytes to
     /// caller-provided buffers.
     ///
-    /// This is the allocation-free core of sub-block decoding: the zero-copy
-    /// driver in `gompresso-core` decodes all sub-blocks of a block straight
-    /// into one pair of reusable scratch vectors instead of collecting and
-    /// re-copying per-sub-block vectors.
+    /// This is the checked reference walk: every symbol goes through the
+    /// bounds-checked [`BitReader`], and the sub-block is located by a
+    /// prefix sum over the sizes before it. [`Self::decode_sub_blocks`]
+    /// returns exactly what this walk returns, sub-block by sub-block,
+    /// errors included.
     pub fn decode_sub_block_into(
         &self,
         index: usize,
@@ -415,61 +417,29 @@ impl BitBlock {
         literals: &mut Vec<u8>,
     ) -> Result<()> {
         let start_bit = self.sub_block_bit_offset(index)?;
-        let n_seq = self.sub_block_sequences(index)? as usize;
+        let n_seq = self.sub_block_sequences(index)?;
         let mut r = BitReader::at_bit_offset(&self.bitstream, start_bit)?;
         // Every sequence is at least one coded symbol (≥ 1 bit), so the
         // bitstream length caps how much a corrupt count can reserve.
-        sequences.reserve(n_seq.min(self.bitstream.len().saturating_mul(8)));
-
-        for _ in 0..n_seq {
-            // A whole literal run decodes in one batched call that amortizes
-            // refill and EOF accounting per group of symbols; the symbol
-            // that ends the run is either EOS or a match-length symbol.
-            let (sym, literal_len) = lit_len_dec.decode_run(&mut r, END_OF_SEQUENCES, literals)?;
-            let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
-                (0u32, 0u32)
-            } else {
-                debug_assert!(sym >= FIRST_LENGTH_SYMBOL);
-                let len_bits = coder.length_extra_bits(sym)?;
-                let len_extra = r.read_bits(u32::from(len_bits))?;
-                let match_len = coder.decode_length(sym, len_extra)?;
-                let off_sym = offset_dec.decode(&mut r)?;
-                let off_bits = coder.offset_extra_bits(off_sym)?;
-                let off_extra = r.read_bits(u32::from(off_bits))?;
-                let match_offset = coder.decode_offset(off_sym, off_extra)?;
-                (match_offset, match_len)
-            };
-            sequences.push(Sequence { literal_len, match_offset, match_len });
-        }
+        sequences.reserve((n_seq as usize).min(self.bitstream.len().saturating_mul(8)));
+        decode_sequences_checked(&mut r, n_seq, coder, lit_len_dec, offset_dec, sequences, literals)?;
         Ok(())
     }
 
-    /// Decodes `count` consecutive sub-blocks starting at `first` with `S`
-    /// interleaved bitstream cursors, appending sequences and literals to
-    /// the caller's buffers *in sub-block order* and pushing one
-    /// [`SubBlockStats`] per sub-block.
+    /// Decodes the sub-blocks in `sub_blocks` in one pass, appending their
+    /// sequences and literal bytes to the caller's buffers in sub-block
+    /// order and pushing one [`SubBlockStats`] per sub-block.
     ///
-    /// This is the CPU analogue of the paper's one-sub-block-per-lane
-    /// parallel Huffman decode (Section III-B-1): each sub-block owns an
-    /// independent bitstream, so a worker keeps `S` [`BitReader`] cursors
-    /// live and round-robins one symbol decode across them per iteration.
-    /// The `S` table lookups per round have no data dependencies on each
-    /// other, so the out-of-order core overlaps their load-to-use latencies
-    /// — the ILP that a one-sub-block-at-a-time walk leaves on the table.
-    /// Lanes stage into `scratch` and drain in order after each chunk of
-    /// `S` sub-blocks, so the output is byte-identical to the sequential
-    /// walk.
-    ///
-    /// `first_bit_offset` must be the absolute bit offset of sub-block
-    /// `first` (callers decode groups in order and track it incrementally,
-    /// avoiding the quadratic per-sub-block prefix sum of
-    /// [`Self::sub_block_bit_offset`]).
-    #[allow(clippy::too_many_arguments)] // mirrors decode_sub_block_into + scratch/stats sinks
-    pub fn decode_sub_blocks_interleaved<const S: usize>(
+    /// Every sub-block owns an independent bitstream, which on the GPU one
+    /// thread decodes (paper, Section III-B-1); the host walks them one
+    /// after another and finds each after the first by adding the previous
+    /// one's recorded size to its start. The result equals
+    /// [`Self::decode_sub_block_into`] called on each sub-block in turn,
+    /// errors included.
+    #[allow(clippy::too_many_arguments)] // decode tables, token-table cache and three output sinks
+    pub fn decode_sub_blocks(
         &self,
-        first: usize,
-        count: usize,
-        first_bit_offset: u64,
+        sub_blocks: Range<usize>,
         coder: &TokenCoder,
         lit_len_dec: &DecodeTable,
         offset_dec: &DecodeTable,
@@ -478,80 +448,64 @@ impl BitBlock {
         literals: &mut Vec<u8>,
         stats: &mut Vec<SubBlockStats>,
     ) -> Result<()> {
-        assert!(S >= 1, "at least one interleaved stream");
-        if count == 0 {
+        let available = self.sub_block_bits.len();
+        if sub_blocks.is_empty() {
             return Ok(());
+        } else if sub_blocks.end > available {
+            return Err(FormatError::SubBlockOutOfRange { index: sub_blocks.end - 1, available });
         }
-        if first + count > self.sub_block_bits.len() {
-            return Err(FormatError::SubBlockOutOfRange {
-                index: first + count - 1,
-                available: self.sub_block_bits.len(),
-            });
-        }
-        debug_assert_eq!(
-            first_bit_offset,
-            self.sub_block_bit_offset(first)?,
-            "caller-tracked bit cursor out of sync"
-        );
-        if scratch.lanes.len() < S {
-            scratch.lanes.resize_with(S, LaneStaging::default);
-        }
-        scratch.ensure_tokens(coder);
-        let InterleaveScratch { lanes: lane_staging, tokens } = scratch;
-        let tables = &tokens.as_ref().expect("ensure_tokens populated the cache").1;
-        let cap_bits = self.bitstream.len().saturating_mul(8);
-        let mut next_bit = first_bit_offset;
-        let mut cursors: Vec<LaneCursor<'_>> = Vec::with_capacity(S);
-
-        let mut idx = first;
-        let end = first + count;
-        while idx < end {
-            let chunk = S.min(end - idx);
-            cursors.clear();
-            let mut active = 0usize;
-            for (lane, staging) in lane_staging.iter_mut().enumerate().take(chunk) {
-                let sub = idx + lane;
-                let n_seq = self.sub_block_sequences(sub)?;
-                staging.sequences.clear();
-                staging.literals.clear();
-                staging.sequences.reserve((n_seq as usize).min(cap_bits));
-                let r = BitReader::at_bit_offset(&self.bitstream, next_bit)?;
-                next_bit += u64::from(self.sub_block_bits[sub]);
-                cursors.push(LaneCursor { r, remaining: n_seq, literal_len: 0, matches: 0 });
-                if n_seq > 0 {
-                    active += 1;
-                }
-            }
-            // Round-robin: each live lane runs one *turn* per pass — one
-            // accumulator refill, then as many symbol decodes as the cached
-            // bits cover (roughly four to five codewords). Turns from
-            // different lanes have no data dependencies on each other, so
-            // their table lookups overlap in the out-of-order window, while
-            // the per-turn batching keeps the rotation overhead amortized.
-            while active > 0 {
-                for (lane, cur) in cursors.iter_mut().enumerate() {
-                    if cur.remaining == 0 {
-                        continue;
-                    }
-                    cur.run_turn(&mut lane_staging[lane], tables, lit_len_dec, offset_dec)?;
-                    if cur.remaining == 0 {
-                        active -= 1;
-                    }
-                }
-            }
-            for (lane, cur) in cursors.iter().enumerate() {
-                let staging = &lane_staging[lane];
-                sequences.extend_from_slice(&staging.sequences);
-                literals.extend_from_slice(&staging.literals);
-                stats.push(SubBlockStats {
-                    sequences: staging.sequences.len() as u32,
-                    matches: cur.matches,
-                    literals: staging.literals.len() as u32,
-                });
-            }
-            idx += chunk;
+        let tables = scratch.tokens(coder);
+        let mut start_bit = self.sub_block_bit_offset(sub_blocks.start)?;
+        for sub in sub_blocks {
+            let n_seq = self.sub_block_sequences(sub)?;
+            let literals_before = literals.len();
+            let matches = decode_sub_block(
+                &self.bitstream,
+                start_bit,
+                n_seq,
+                coder,
+                tables,
+                lit_len_dec,
+                offset_dec,
+                sequences,
+                literals,
+            )?;
+            let literals_decoded = (literals.len() - literals_before) as u32;
+            stats.push(SubBlockStats { sequences: n_seq, matches, literals: literals_decoded });
+            start_bit += u64::from(self.sub_block_bits[sub]);
         }
         Ok(())
+    }
+
+    /// Forwards to [`Self::decode_sub_blocks`]; `S` and `_first_bit_offset`
+    /// are ignored. Kept only because the benchmark's stage replay calls it
+    /// by this name; it goes when the replay gives way to the stage ledger
+    /// (ROADMAP item 1).
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode_sub_blocks_interleaved<const S: usize>(
+        &self,
+        first: usize,
+        count: usize,
+        _first_bit_offset: u64,
+        coder: &TokenCoder,
+        lit_len_dec: &DecodeTable,
+        offset_dec: &DecodeTable,
+        scratch: &mut InterleaveScratch,
+        sequences: &mut Vec<Sequence>,
+        literals: &mut Vec<u8>,
+        stats: &mut Vec<SubBlockStats>,
+    ) -> Result<()> {
+        self.decode_sub_blocks(
+            first..first + count,
+            coder,
+            lit_len_dec,
+            offset_dec,
+            scratch,
+            sequences,
+            literals,
+            stats,
+        )
     }
 
     /// Decodes the whole block back into an LZ77 sequence block
@@ -562,9 +516,16 @@ impl BitBlock {
         let cap_bits = self.bitstream.len().saturating_mul(8);
         let mut sequences = Vec::with_capacity((self.n_sequences as usize).min(cap_bits));
         let mut literals = Vec::with_capacity((self.uncompressed_len as usize).min(cap_bits));
-        for i in 0..self.sub_block_count() {
-            self.decode_sub_block_into(i, coder, &lit_len_dec, &offset_dec, &mut sequences, &mut literals)?;
-        }
+        self.decode_sub_blocks(
+            0..self.sub_block_count(),
+            coder,
+            &lit_len_dec,
+            &offset_dec,
+            &mut InterleaveScratch::default(),
+            &mut sequences,
+            &mut literals,
+            &mut Vec::new(),
+        )?;
         Ok(SequenceBlock { sequences, literals, uncompressed_len: self.uncompressed_len as usize })
     }
 
@@ -651,8 +612,7 @@ impl BitBlock {
     }
 }
 
-/// Per-sub-block tallies reported by
-/// [`BitBlock::decode_sub_blocks_interleaved`].
+/// Per-sub-block tallies reported by [`BitBlock::decode_sub_blocks`].
 ///
 /// These are exactly the quantities the simulated decode kernel charges per
 /// lane, so the driver can reproduce its lock-step counter accounting
@@ -675,145 +635,190 @@ impl SubBlockStats {
     }
 }
 
-/// Reusable per-lane staging buffers for
-/// [`BitBlock::decode_sub_blocks_interleaved`].
-///
-/// Interleaved lanes decode concurrently but must land in the output in
-/// sub-block order, so each lane stages into its own pair of buffers and
-/// the driver drains them in order after every chunk. A per-worker scratch
-/// keeps steady-state decoding allocation-free once the buffers have grown
-/// to the largest sub-block a worker has seen.
+/// Reusable per-worker state for [`BitBlock::decode_sub_blocks`]: the flat
+/// token tables, cached per coder so steady-state decoding rebuilds them
+/// only when the file's coding parameters change.
 #[derive(Debug, Clone, Default)]
 pub struct InterleaveScratch {
-    lanes: Vec<LaneStaging>,
-    /// Flat token tables, cached per coder so steady-state decoding rebuilds
-    /// them only when the file's coding parameters change.
     tokens: Option<(TokenCoder, TokenTables)>,
 }
 
 impl InterleaveScratch {
-    /// Rebuilds the cached token tables if `coder` differs from the cached
-    /// parameters (or nothing is cached yet).
-    fn ensure_tokens(&mut self, coder: &TokenCoder) {
+    /// The token tables for `coder`, rebuilt if the cached ones belong to
+    /// other parameters (or nothing is cached yet).
+    fn tokens(&mut self, coder: &TokenCoder) -> &TokenTables {
         if self.tokens.as_ref().is_none_or(|(cached, _)| cached != coder) {
             self.tokens = Some((*coder, TokenTables::new(coder)));
         }
+        &self.tokens.as_ref().expect("populated above").1
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct LaneStaging {
-    sequences: Vec<Sequence>,
-    literals: Vec<u8>,
+/// Tops the accumulator up with one unaligned little-endian 8-byte load at
+/// byte `pos`, or returns `false` when fewer than 8 bytes remain there.
+///
+/// Afterwards `nbits` is 56..=63 and `pos` is the first byte not yet
+/// counted in it. The loaded bits above `nbits` are the true stream bits
+/// that follow, so the next load ORs the same values over them.
+#[inline(always)]
+fn refill(data: &[u8], pos: &mut usize, acc: &mut u64, nbits: &mut u32) -> bool {
+    let Some(word) = data.get(*pos..*pos + 8) else {
+        return false;
+    };
+    *acc |= u64::from_le_bytes(word.try_into().expect("8-byte window")) << *nbits;
+    *pos += ((63 - *nbits) >> 3) as usize;
+    *nbits |= 56;
+    true
 }
 
-/// One live decoding stream of the interleaved walk: a bit cursor plus the
-/// in-flight sequence state (literal run length so far, sequences left).
-struct LaneCursor<'a> {
-    r: BitReader<'a>,
-    remaining: u32,
-    literal_len: u32,
-    matches: u32,
-}
+/// One-pass decode of the `n_seq` sequences of the sub-block starting at
+/// bit `start_bit` of `data`; returns how many of them carry a match.
+///
+/// The accumulator, byte cursor and bit count stay in locals, and one
+/// [`refill`] precedes every codeword. When fewer than 8 bytes remain,
+/// the current sequence's literals are dropped and the checked walker
+/// finishes the sub-block from that sequence's first bit, so EOF,
+/// truncation and invalid-codeword errors are the checked walker's own.
+#[allow(clippy::too_many_arguments)] // the hot loop keeps every input a plain argument
+fn decode_sub_block(
+    data: &[u8],
+    start_bit: u64,
+    n_seq: u32,
+    coder: &TokenCoder,
+    tables: &TokenTables,
+    lit_len_dec: &DecodeTable,
+    offset_dec: &DecodeTable,
+    sequences: &mut Vec<Sequence>,
+    literals: &mut Vec<u8>,
+) -> Result<u32> {
+    let lit_mask = (1u64 << lit_len_dec.index_bits()) - 1;
+    let off_mask = (1u64 << offset_dec.index_bits()) - 1;
+    let mut pos = (start_bit / 8) as usize;
+    let (mut acc, mut nbits) = (0u64, 0u32);
+    let mut matches = 0u32;
+    let mut decoded = 0u32;
+    // Where the checked walker resumes: the current sequence's first bit
+    // and the literal count before it.
+    let mut resume = (start_bit, literals.len());
 
-/// Reads `bits` extra bits, preferring the already-cached accumulator bits
-/// and falling back to the checked read near the stream tail.
-#[inline]
-fn read_extra(r: &mut BitReader<'_>, bits: u8) -> Result<u32> {
-    let bits = u32::from(bits);
-    if bits == 0 {
-        return Ok(0);
-    }
-    if r.cached_bits() >= bits {
-        let v = r.peek_cached(bits);
-        r.consume_peeked(bits);
-        Ok(v)
-    } else {
-        r.read_bits(bits).map_err(Into::into)
-    }
-}
-
-impl LaneCursor<'_> {
-    /// Runs one interleaved turn: refills the accumulator once, then decodes
-    /// symbols against the cached bits until the accumulator runs low (the
-    /// next turn refills), the sub-block completes, or the stream tail is
-    /// reached (per-symbol checked decoding takes over there so EOF and
-    /// truncation surface exactly like the sequential walk).
-    #[inline]
-    fn run_turn(
-        &mut self,
-        staging: &mut LaneStaging,
-        tables: &TokenTables,
-        lit_len_dec: &DecodeTable,
-        offset_dec: &DecodeTable,
-    ) -> Result<()> {
-        let width = u32::from(lit_len_dec.index_bits());
-        self.r.refill();
-        while self.remaining > 0 {
-            if self.r.cached_bits() < width {
-                if self.r.remaining_bits() >= u64::from(width) {
-                    // Mid-stream, accumulator low: yield the turn.
-                    return Ok(());
-                }
-                // Stream tail: checked decode (zero-filled window, precise
-                // EOF reporting).
-                let sym = lit_len_dec.decode(&mut self.r)?;
-                if sym < END_OF_SEQUENCES {
-                    staging.literals.push(sym as u8);
-                    self.literal_len += 1;
-                } else {
-                    self.finish_symbol(sym, staging, tables, offset_dec)?;
-                }
-                continue;
-            }
-            let sym = lit_len_dec.decode_cached(&mut self.r)?;
-            if sym < END_OF_SEQUENCES {
-                staging.literals.push(sym as u8);
-                self.literal_len += 1;
-                continue;
-            }
-            self.finish_symbol(sym, staging, tables, offset_dec)?;
+    'fast: {
+        if !refill(data, &mut pos, &mut acc, &mut nbits) {
+            break 'fast;
         }
-        Ok(())
+        let skip = (start_bit % 8) as u32;
+        acc >>= skip;
+        nbits -= skip;
+        while decoded < n_seq {
+            resume = (pos as u64 * 8 - u64::from(nbits), literals.len());
+            let sym = loop {
+                if !refill(data, &mut pos, &mut acc, &mut nbits) {
+                    break 'fast;
+                }
+                let window = (acc & lit_mask) as u32;
+                let entry = lit_len_dec.lookup_packed(window);
+                let len = entry & 0xFF;
+                if len == 0 {
+                    return Err(HuffmanError::InvalidCodeword { bits: window }.into());
+                }
+                acc >>= len;
+                nbits -= len;
+                let sym = (entry >> 8) as u16;
+                if sym >= END_OF_SEQUENCES {
+                    break sym;
+                }
+                literals.push(sym as u8);
+            };
+            let literal_len = (literals.len() - resume.1) as u32;
+            let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
+                (0, 0)
+            } else {
+                let (len_base, len_bits) = tables.length_entry(sym)?;
+                if !refill(data, &mut pos, &mut acc, &mut nbits) {
+                    break 'fast;
+                }
+                // Bit budget: a refill leaves at least 56 bits, and the
+                // length extras (≤ 30 bits: `max_match_len` is any u32)
+                // plus the offset codeword (≤ 24 bits, the `DecodeTable`
+                // limit) need at most 54. Only the offset extras (≤ 28
+                // bits: window ≤ 2^30) may need a second refill.
+                debug_assert!(u32::from(len_bits) + u32::from(offset_dec.index_bits()) <= nbits);
+                let len_extra = acc & ((1u64 << len_bits) - 1);
+                acc >>= len_bits;
+                nbits -= u32::from(len_bits);
+                let match_len = tables.check_length(u64::from(len_base) + len_extra)?;
+                let window = (acc & off_mask) as u32;
+                let entry = offset_dec.lookup_packed(window);
+                let len = entry & 0xFF;
+                if len == 0 {
+                    return Err(HuffmanError::InvalidCodeword { bits: window }.into());
+                }
+                acc >>= len;
+                nbits -= len;
+                let (off_base, off_bits) = tables.offset_entry((entry >> 8) as u16)?;
+                if u32::from(off_bits) > nbits && !refill(data, &mut pos, &mut acc, &mut nbits) {
+                    break 'fast;
+                }
+                let off_extra = (acc & ((1u64 << off_bits) - 1)) as u32;
+                acc >>= off_bits;
+                nbits -= u32::from(off_bits);
+                matches += 1;
+                (tables.check_offset(off_base + off_extra)?, match_len)
+            };
+            sequences.push(Sequence { literal_len, match_offset, match_len });
+            decoded += 1;
+        }
+        return Ok(matches);
     }
 
-    /// Completes the sequence the symbol `sym` (EOS or a match-length
-    /// symbol) terminates: for a match, decodes the tail — length extra
-    /// bits, offset codeword, offset extra bits — through the flat token
-    /// tables, refilling once so the whole tail usually comes from cached
-    /// bits.
-    #[inline]
-    fn finish_symbol(
-        &mut self,
-        sym: u16,
-        staging: &mut LaneStaging,
-        tables: &TokenTables,
-        offset_dec: &DecodeTable,
-    ) -> Result<()> {
+    literals.truncate(resume.1);
+    let mut r = BitReader::at_bit_offset(data, resume.0)?;
+    let tail_matches = decode_sequences_checked(
+        &mut r,
+        n_seq - decoded,
+        coder,
+        lit_len_dec,
+        offset_dec,
+        sequences,
+        literals,
+    )?;
+    Ok(matches + tail_matches)
+}
+
+/// The checked per-sequence walk: decodes `n_seq` sequences from `r`,
+/// reporting EOF and truncation exactly, and returns how many carry a
+/// match. [`BitBlock::decode_sub_block_into`] is this walk over one
+/// sub-block; [`decode_sub_block`] finishes each sub-block's tail with it.
+fn decode_sequences_checked(
+    r: &mut BitReader<'_>,
+    n_seq: u32,
+    coder: &TokenCoder,
+    lit_len_dec: &DecodeTable,
+    offset_dec: &DecodeTable,
+    sequences: &mut Vec<Sequence>,
+    literals: &mut Vec<u8>,
+) -> Result<u32> {
+    let mut matches = 0u32;
+    for _ in 0..n_seq {
+        // A whole literal run decodes in one batched call that amortizes
+        // refill and EOF accounting per group of symbols; the symbol that
+        // ends the run is either EOS or a match-length symbol.
+        let (sym, literal_len) = lit_len_dec.decode_run(r, END_OF_SEQUENCES, literals)?;
         let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
-            (0u32, 0u32)
+            (0, 0)
         } else {
             debug_assert!(sym >= FIRST_LENGTH_SYMBOL);
-            let (len_base, len_bits) = tables.length_entry(sym)?;
-            self.r.refill();
-            let len_extra = read_extra(&mut self.r, len_bits)?;
-            let match_len = tables.check_length(len_base + len_extra)?;
-            let off_sym = if self.r.cached_bits() >= u32::from(offset_dec.index_bits()) {
-                offset_dec.decode_cached(&mut self.r)?
-            } else {
-                offset_dec.decode(&mut self.r)?
-            };
-            let (off_base, off_bits) = tables.offset_entry(off_sym)?;
-            let off_extra = read_extra(&mut self.r, off_bits)?;
-            let match_offset = tables.check_offset(off_base + off_extra)?;
-            self.matches += 1;
-            (match_offset, match_len)
+            let len_bits = coder.length_extra_bits(sym)?;
+            let len_extra = r.read_bits(u32::from(len_bits))?;
+            let match_len = coder.decode_length(sym, len_extra)?;
+            let off_sym = offset_dec.decode(r)?;
+            let off_bits = coder.offset_extra_bits(off_sym)?;
+            let off_extra = r.read_bits(u32::from(off_bits))?;
+            matches += 1;
+            (coder.decode_offset(off_sym, off_extra)?, match_len)
         };
-        staging.sequences.push(Sequence { literal_len: self.literal_len, match_offset, match_len });
-        self.literal_len = 0;
-        self.remaining -= 1;
-        Ok(())
+        sequences.push(Sequence { literal_len, match_offset, match_len });
     }
+    Ok(matches)
 }
 
 #[cfg(test)]

@@ -125,11 +125,13 @@ impl TokenCoder {
         if bits < 32 && extra >= (1u32 << bits) {
             return Err(FormatError::InvalidToken { reason: "length extra bits out of range" });
         }
-        let len = base + extra + self.min_match_len;
-        if len > self.max_match_len {
+        // Summed in u64: corrupt extra bits in the top bucket of a wide
+        // length range can carry the sum past u32::MAX.
+        let len = u64::from(base) + u64::from(extra) + u64::from(self.min_match_len);
+        if len > u64::from(self.max_match_len) {
             return Err(FormatError::InvalidToken { reason: "decoded match length exceeds maximum" });
         }
-        Ok(len)
+        Ok(len as u32)
     }
 
     /// Encodes a match offset (distance ≥ 1) as `(symbol, extra_bits, extra)`.
@@ -341,12 +343,14 @@ impl TokenTables {
     }
 
     /// Validates a reassembled match length against the configured maximum.
+    /// The length is `base + extra` summed in `u64`: corrupt extra bits in
+    /// the top bucket of a wide length range can carry it past `u32::MAX`.
     #[inline]
-    pub fn check_length(&self, len: u32) -> Result<u32> {
-        if len > self.max_match_len {
+    pub fn check_length(&self, len: u64) -> Result<u32> {
+        if len > u64::from(self.max_match_len) {
             return Err(FormatError::InvalidToken { reason: "decoded match length exceeds maximum" });
         }
-        Ok(len)
+        Ok(len as u32)
     }
 
     /// Validates a reassembled offset against the window size.
@@ -376,7 +380,7 @@ mod tests {
             assert_eq!(bits, c.length_extra_bits(sym).unwrap());
             for extra in [0u32, (1u32 << bits) - 1] {
                 let direct = c.decode_length(sym, extra);
-                let via_table = t.check_length(base + extra);
+                let via_table = t.check_length(u64::from(base) + u64::from(extra));
                 assert_eq!(direct.is_ok(), via_table.is_ok(), "len sym {sym} extra {extra}");
                 if let (Ok(a), Ok(b)) = (direct, via_table) {
                     assert_eq!(a, b);
