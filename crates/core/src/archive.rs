@@ -24,7 +24,9 @@
 //! complement of [`crate::salvage`], which recovers what it can from a file
 //! already known to be damaged.
 
-use crate::decompress::{admit_block, decompress_block_checked, DecompressorConfig, Slot};
+use crate::decompress::{
+    admit_block, decode_into_slices, decompress_block_checked, DecompressorConfig, Slot,
+};
 use crate::error::invalid_field;
 use crate::stream::read_prelude;
 use crate::{GompressoError, Result};
@@ -34,10 +36,8 @@ use gompresso_format::{
     parse_stream_frame_head, stream_frame_layout, token_code::TokenCoder, BlockIndex, FileHeader,
     FormatError, FrameLayout,
 };
-use rayon::prelude::*;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which on-disk layout an [`ArchiveReader`] opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct ArchiveReader<R> {
     format: ArchiveFormat,
     config: DecompressorConfig,
     coder: TokenCoder,
-    blocks_decoded: AtomicU64,
+    blocks_decoded: u64,
 }
 
 /// Initial header-probe size for container archives; doubled until the
@@ -102,15 +102,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
             }
         };
         let coder = TokenCoder::new(index.min_match_len(), index.max_match_len(), index.window_size())?;
-        Ok(ArchiveReader {
-            reader,
-            file_len,
-            index,
-            format,
-            config,
-            coder,
-            blocks_decoded: AtomicU64::new(0),
-        })
+        Ok(ArchiveReader { reader, file_len, index, format, config, coder, blocks_decoded: 0 })
     }
 
     /// Header-first open: parse the container header from a growing prefix
@@ -169,7 +161,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// Number of blocks decoded by this reader so far — the observable
     /// proof that range requests touch only the blocks they overlap.
     pub fn blocks_decoded(&self) -> u64 {
-        self.blocks_decoded.load(Ordering::Relaxed)
+        self.blocks_decoded
     }
 
     /// Consumes the reader, returning the underlying source.
@@ -224,33 +216,19 @@ impl<R: Read + Seek> ArchiveReader<R> {
             payloads.push(payload);
         }
 
-        // Decode in parallel into disjoint slices of one block-aligned
-        // buffer, then trim to the requested range.
+        self.blocks_decoded += payloads.len() as u64;
+
+        // Decode in parallel into one block-aligned buffer, then trim to the
+        // requested range.
         let mut out = vec![0u8; aligned_len as usize];
-        let mut work: Vec<(usize, &[u8], &mut [u8])> = Vec::with_capacity(blocks.len());
-        let mut rest: &mut [u8] = &mut out;
-        for (payload, idx) in payloads.iter().zip(blocks.clone()) {
-            let (dst, tail) = rest.split_at_mut(self.index.entry(idx).uncompressed_size as usize);
-            rest = tail;
-            work.push((idx, payload.as_slice(), dst));
-        }
-        let index = &self.index;
-        let config = &self.config;
-        let coder = &self.coder;
-        let counter = &self.blocks_decoded;
-        let format = self.format;
-        let results: Vec<Result<()>> = work
-            .into_par_iter()
-            .map(|(idx, payload, dst)| {
-                let entry = index.entry(idx);
-                counter.fetch_add(1, Ordering::Relaxed);
-                decompress_block_checked(config, &entry.config, coder, idx, payload, entry.checksum, dst)
-                    .map_err(|e| e.into_block_err(idx as u64, format, entry.compressed_offset))
-            })
-            .collect();
-        for result in results {
-            result?;
-        }
+        let (index, config, coder, format) = (&self.index, &self.config, &self.coder, self.format);
+        let sizes = blocks.clone().map(|idx| index.entry(idx).uncompressed_size);
+        decode_into_slices(&mut out, sizes, |position, dst| {
+            let (idx, payload) = (blocks.start + position, &payloads[position]);
+            let entry = index.entry(idx);
+            decompress_block_checked(config, &entry.config, coder, idx, payload, entry.checksum, dst)
+                .map_err(|e| e.into_block_err(idx as u64, format, entry.compressed_offset))
+        })?;
         out.truncate((end - aligned_start) as usize);
         out.drain(..(start - aligned_start) as usize);
         Ok(out)

@@ -171,32 +171,19 @@ impl Decompressor {
         let coder = self.validated_coder(file)?;
 
         let mut output = vec![0u8; header.uncompressed_size as usize];
-        let mut work: Vec<(usize, &[u8], &mut [u8])> = Vec::with_capacity(file.blocks.len());
-        let mut rest: &mut [u8] = &mut output;
-        for (idx, payload) in file.blocks.iter().enumerate() {
-            let (dst, tail) = rest.split_at_mut(header.block_uncompressed_size(idx) as usize);
-            rest = tail;
-            work.push((idx, payload.bytes.as_slice(), dst));
-        }
-
-        let results: Vec<Result<()>> = work
-            .into_par_iter()
-            .map(|(idx, payload, dst)| {
-                decompress_block_checked(
-                    &self.config,
-                    header.block_config(idx),
-                    &coder,
-                    idx,
-                    payload,
-                    header.block_checksums.get(idx).copied(),
-                    dst,
-                )
-                .map_err(|e| e.in_block(idx as u64, None))
-            })
-            .collect();
-        for result in results {
-            result?;
-        }
+        let sizes = (0..file.blocks.len()).map(|idx| header.block_uncompressed_size(idx));
+        decode_into_slices(&mut output, sizes, |idx, dst| {
+            decompress_block_checked(
+                &self.config,
+                header.block_config(idx),
+                &coder,
+                idx,
+                &file.blocks[idx].bytes,
+                header.block_checksums.get(idx).copied(),
+                dst,
+            )
+            .map_err(|e| e.in_block(idx as u64, None))
+        })?;
 
         let report = DecompressionReport {
             uncompressed_size: header.uncompressed_size,
@@ -285,6 +272,28 @@ impl Decompressor {
         validate_declared_sizes(file)?;
         Ok(coder)
     }
+}
+
+/// Splits `out` into consecutive slices of the given `sizes`, runs
+/// `decode(position, slice)` on them in parallel, and returns the error of
+/// the first failing position. The one parallel decode loop of the
+/// in-memory and range decoders: each block's bytes are written straight
+/// into its disjoint slice of one output buffer.
+pub(crate) fn decode_into_slices(
+    out: &mut [u8],
+    sizes: impl IntoIterator<Item = u64>,
+    decode: impl Fn(usize, &mut [u8]) -> Result<()> + Sync,
+) -> Result<()> {
+    let mut work = Vec::new();
+    let mut rest = out;
+    for (position, size) in sizes.into_iter().enumerate() {
+        let (slice, tail) = rest.split_at_mut(size as usize);
+        rest = tail;
+        work.push((position, slice));
+    }
+    let results: Vec<Result<()>> =
+        work.into_par_iter().map(|(position, slice)| decode(position, slice)).collect();
+    results.into_iter().collect()
 }
 
 /// Parses one block payload and entropy-decodes its sequences into the

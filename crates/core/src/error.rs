@@ -52,11 +52,11 @@ pub enum GompressoError {
         /// Checksum of the bytes actually produced.
         computed: u64,
     },
-    /// A pipeline stage panicked. The panic was caught at the stage
-    /// boundary; the pipeline shut down cleanly instead of aborting the
+    /// A stream pipeline worker panicked on a block. The panic was caught
+    /// on the worker; the run stopped cleanly instead of aborting the
     /// process.
     StagePanicked {
-        /// Which stage panicked ("reader", "compress worker", ...).
+        /// Which stage panicked: "compress worker" or "decompress worker".
         stage: &'static str,
         /// The panic payload's message, when it was a string.
         message: String,

@@ -4,25 +4,40 @@
 //! whole input *and* output resident at once. The paper's file layout
 //! (Figure 3: self-describing header, back-to-back independent blocks)
 //! exists precisely so blocks can be processed without buffering the whole
-//! file — this module exploits that with a three-stage pipeline over
-//! `std::io::Read`/`std::io::Write`:
+//! file. Independent blocks need only two things from a streaming
+//! pipeline, block order and a memory bound, so both directions run
+//! through one pipeline over `std::io::Read`/`std::io::Write` with two
+//! roles:
 //!
-//! * a **reader** stage fills fixed-size block buffers taken from a
-//!   recycling pool (the pool size is derived from the memory budget, so
-//!   the reader stalls instead of racing ahead of the budget). On the
-//!   compression side the reader also runs the [`crate::planner`] on each
-//!   block *in block order*, so adaptive planning sees blocks in the same
-//!   sequence as the in-memory compressor;
-//! * **workers** compress or decompress blocks independently, reusing the
-//!   same per-worker scratch thread-locals (`SequenceBlock` +
-//!   `MatcherScratch` + `EncodeScratch` on the way in, the decode
-//!   `SequenceBlock` on the way out) as the in-memory hot paths — both
-//!   paths therefore produce byte-identical block payloads for the same
-//!   plan;
-//! * a **writer** stage (the calling thread) re-orders finished blocks and
-//!   emits them in block order. Buffers return to the pool only once their
-//!   block has been written, which is what makes the bound hold even when
-//!   one slow block stalls the in-order frontier.
+//! * the **calling thread** reads and writes. While fewer than the
+//!   in-flight bound of blocks are read but not yet written, it reads the
+//!   next block into a recycled buffer and queues it for the workers; it
+//!   writes finished blocks as soon as they are next in block order; when
+//!   it can do neither, it waits for a worker. On the compression side,
+//!   reading a block includes running the [`crate::planner`] on it, so
+//!   adaptive planning sees blocks in the same sequence as the in-memory
+//!   compressor. A block's buffers recycle only once the block has been
+//!   written, which is what makes the bound hold even when one slow block
+//!   stalls the in-order frontier;
+//! * **workers** compress or decompress blocks independently, as jobs on
+//!   the process-wide rayon pool ([`rayon::scope`]). They reuse the same
+//!   per-worker scratch thread-locals (`SequenceBlock` + `MatcherScratch` +
+//!   `EncodeScratch` on the way in, the decode `SequenceBlock` on the way
+//!   out) as the in-memory hot paths, so both paths produce byte-identical
+//!   block payloads for the same plan. Pool threads outlive the run: the
+//!   next run (the next daemon job, say) finds their scratch already grown.
+//!
+//! **Failure rule.** The first failure stops reading and writing. Blocks
+//! already queued (at most the in-flight bound) still finish, and the error
+//! of the lowest-indexed failing block is returned; a read error counts as
+//! the block being read, a write error as the block being written. Blocks
+//! are read in order, so the reported error depends only on the input, not
+//! on the worker count or on timing.
+//!
+//! **Panic rule.** A panic in a worker becomes that block's
+//! [`GompressoError::StagePanicked`]. A panic on the calling thread (in the
+//! caller's own `Read` or `Write`, or in frame parsing) propagates to the
+//! caller once the workers have stopped, as it would from `std::io::copy`.
 //!
 //! Files are framed with the incremental v4 container
 //! ([`gompresso_format::stream_frame`]): a checksummed fixed prelude with
@@ -35,19 +50,6 @@
 //! Legacy v3 streams (per-frame configs, no checksums) and v2 streams
 //! (uniform codec config in the prelude, configless frames) still decode;
 //! the reader synthesizes the v2 per-block config from the prelude.
-//!
-//! The reader and the workers run as jobs on the process-wide rayon pool
-//! ([`rayon::scope`]), whose threads outlive the run: the next run (the
-//! next daemon job, say) reuses them, and with them their warm scratch, so
-//! scratch reuse holds above one worker and across runs. Workers are
-//! spawned before the reader, so the pool's last-parked-first reuse tends
-//! to give the worker role the threads whose scratch it already grew.
-//!
-//! Every pipeline stage is panic-isolated: worker bodies run under
-//! `catch_unwind` (a panicking block surfaces as that block's error and
-//! its buffers return to the pool), and the reader is joined through
-//! [`join_stage`], which converts a stage panic into
-//! [`GompressoError::StagePanicked`] instead of aborting the process.
 //!
 //! Note on adaptive planning: with [`crate::PlanningMode::Adaptive`] the
 //! planner's ratio feedback arrives in worker-completion order here (the
@@ -64,7 +66,7 @@
 //! at `2 × workers + 2`, beyond which extra buffers add nothing).
 
 use crate::compress::{compress_block_with_scratch, COMPRESS_SCRATCH};
-use crate::config::{BlockPlan, CompressorConfig};
+use crate::config::CompressorConfig;
 use crate::decompress::{admit_block, decompress_block_checked, DecompressorConfig, Slot};
 use crate::error::invalid_field;
 use crate::planner::{planner_for, BlockFeedback};
@@ -82,8 +84,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Default streaming memory budget when none is configured: 64 MiB.
@@ -248,28 +249,6 @@ fn truncated_block(e: std::io::Error, block: u64) -> GompressoError {
     }
 }
 
-/// Records `e` (for the lowest-failing block index) as the pipeline's
-/// error, flips the abort flag, and frees every buffer captive in the
-/// re-order map so the reader stage cannot starve on an empty pool.
-fn fail_writer(
-    idx: u64,
-    e: GompressoError,
-    abort: &AtomicBool,
-    pool_tx: &mpsc::Sender<Vec<u8>>,
-    pending: &mut BTreeMap<u64, PendingBlock>,
-    first_error: &mut Option<GompressoError>,
-    first_error_idx: &mut u64,
-) {
-    abort.store(true, Ordering::Relaxed);
-    if idx < *first_error_idx {
-        *first_error_idx = idx;
-        *first_error = Some(e);
-    }
-    for (_, pending_block) in std::mem::take(pending) {
-        let _ = pool_tx.send(pending_block.buf);
-    }
-}
-
 /// Extracts a human-readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -281,38 +260,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Joins a pipeline stage running on the pool, converting a stage panic
-/// into [`GompressoError::StagePanicked`] instead of re-raising it in the
-/// caller.
-fn join_stage<T>(handle: rayon::ScopedJoinHandle<'_, T>, stage: &'static str) -> Result<T> {
-    handle.join().map_err(|p| GompressoError::StagePanicked { stage, message: panic_message(p.as_ref()) })
-}
-
-/// Locks a pipeline mutex, recovering the guard even if another thread
-/// panicked while holding it (the protected values are plain channels, so
-/// no invariant can be torn).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// One finished block travelling from a worker to the writer stage: the
-/// block index, the recycled input buffer, and the block's outcome.
-type DoneItem = (u64, Vec<u8>, BlockOutcome);
-
 /// Per-frame metadata the compression writer emits in front of each
 /// payload: the plan's container record plus the content checksum of the
 /// block's uncompressed bytes.
-#[derive(Clone, Copy)]
 struct FrameMeta {
     config: BlockConfig,
     checksum: u64,
 }
 
-/// One parsed frame travelling from the stream reader to a decompress
-/// worker.
-struct FrameJob {
-    idx: u64,
-    payload: Vec<u8>,
+/// What the decompression reader learns from a frame head, travelling with
+/// the frame's payload to a worker.
+struct FrameHead {
     config: BlockConfig,
     /// The content checksum a v4 frame carries; `None` for legacy frames.
     checksum: Option<u64>,
@@ -321,77 +279,108 @@ struct FrameJob {
     offset: u64,
 }
 
-/// A produced block parked in the writer's re-order map.
-struct PendingBlock {
-    buf: Vec<u8>,
-    produced: Vec<u8>,
-    meta: Option<FrameMeta>,
+/// One block between the calling thread and a worker: its index, its input
+/// and output buffers, and `T` — what `read` learned about the block on the
+/// way to the worker, the worker's outcome on the way back.
+struct Block<T> {
+    idx: u64,
+    input: Vec<u8>,
+    output: Vec<u8>,
+    with: T,
 }
 
-/// What a worker did with one block.
-enum BlockOutcome {
-    /// The block was transformed; these are its produced bytes, plus (on
-    /// the compression side) the frame metadata of the plan it was
-    /// compressed under.
-    Produced(Vec<u8>, Option<FrameMeta>),
-    /// The pipeline was already aborting, so the worker only returned the
-    /// input buffer. Distinct from an empty production: a skipped block
-    /// must never be emitted as output (the compressor would write a
-    /// spurious zero-length frame — the stream terminator — and the
-    /// decompressor a bogus short block that masks the real error).
-    Skipped,
-    /// The block failed with this error.
-    Failed(GompressoError),
+/// Keeps the error of the lowest-indexed failing block.
+fn record_failure(failure: &mut Option<(u64, GompressoError)>, idx: u64, e: GompressoError) {
+    if failure.as_ref().is_none_or(|&(first, _)| idx < first) {
+        *failure = Some((idx, e));
+    }
 }
 
-/// Writer stage shared by both pipelines (runs on the calling thread):
-/// drains the done channel, restores block order with a re-order map
-/// bounded by the buffer pool, applies `emit` to each block's produced
-/// bytes (and config, on the compression side) in order, and recycles a
-/// buffer only once its block has been emitted — which is what makes the
-/// in-flight count a true memory bound. Emitted production buffers are
-/// returned through `scrap_tx` (when given) so workers can reuse them.
-/// Returns the error of the lowest-indexed failing block, if any.
-fn writer_stage(
-    done_rx: &mpsc::Receiver<DoneItem>,
-    pool_tx: &mpsc::Sender<Vec<u8>>,
-    scrap_tx: Option<&mpsc::Sender<Vec<u8>>>,
-    abort: &AtomicBool,
-    mut emit: impl FnMut(u64, Option<&FrameMeta>, &[u8]) -> Result<()>,
-) -> Option<GompressoError> {
-    let mut pending: BTreeMap<u64, PendingBlock> = BTreeMap::new();
-    let mut next = 0u64;
-    let mut first_error: Option<GompressoError> = None;
-    let mut first_error_idx = u64::MAX;
-    while let Ok((idx, buf, outcome)) = done_rx.recv() {
-        match outcome {
-            BlockOutcome::Produced(produced, meta) if first_error.is_none() => {
-                pending.insert(idx, PendingBlock { buf, produced, meta });
-            }
-            BlockOutcome::Produced(..) | BlockOutcome::Skipped => {
-                let _ = pool_tx.send(buf);
-            }
-            BlockOutcome::Failed(e) => {
-                let _ = pool_tx.send(buf);
-                fail_writer(idx, e, abort, pool_tx, &mut pending, &mut first_error, &mut first_error_idx);
-            }
+/// The pipeline both stream directions run through (see the module docs
+/// for the two roles and the failure and panic rules).
+///
+/// The calling thread calls `read(idx, input)` to fill block `idx`'s input
+/// buffer (`Ok(None)` at the end of the input) and `emit(meta, output)` on
+/// each finished block in block order; `workers` pool jobs call
+/// `work(idx, input, meta, output)` to turn one block's input into its
+/// output. At most `in_flight` blocks are read but not yet emitted, and
+/// each holds one input and one output buffer, recycled once it has been
+/// emitted. A panic in `work` becomes `StagePanicked { stage }`.
+fn run_pipeline<M: Send, F: Send>(
+    workers: usize,
+    in_flight: usize,
+    stage: &'static str,
+    mut read: impl FnMut(u64, &mut Vec<u8>) -> Result<Option<M>>,
+    work: impl Fn(u64, &[u8], M, &mut Vec<u8>) -> Result<F> + Sync,
+    mut emit: impl FnMut(F, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let (job_tx, job_rx) = mpsc::channel::<Block<M>>();
+    let (done_tx, done_rx) = mpsc::channel::<Block<Result<F>>>();
+    let job_rx = &Mutex::new(job_rx);
+    let work = &work;
+    // `move`: the scope closure owns the job sender, so a panic in `read` or
+    // `emit` drops it while unwinding, the workers' `recv` fails, and the
+    // scope's wait for them returns.
+    rayon::scope(move |s| {
+        for _ in 0..workers {
+            let done_tx = done_tx.clone();
+            s.spawn(move || loop {
+                // A separate statement, so the lock is released before the
+                // block is worked on. Nothing panics while holding it.
+                let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok(Block { idx, input, mut output, with }) = job else { break };
+                let outcome = catch_unwind(AssertUnwindSafe(|| work(idx, &input, with, &mut output)))
+                    .unwrap_or_else(|p| {
+                        Err(GompressoError::StagePanicked { stage, message: panic_message(p.as_ref()) })
+                    });
+                if done_tx.send(Block { idx, input, output, with: outcome }).is_err() {
+                    break;
+                }
+            });
         }
-        while first_error.is_none() {
-            let Some(PendingBlock { buf, produced, meta }) = pending.remove(&next) else { break };
-            let emitted = emit(next, meta.as_ref(), &produced);
-            let _ = pool_tx.send(buf);
-            if let Some(tx) = scrap_tx {
-                let _ = tx.send(produced);
-            }
-            match emitted {
-                Ok(()) => next += 1,
-                Err(e) => {
-                    fail_writer(next, e, abort, pool_tx, &mut pending, &mut first_error, &mut first_error_idx)
+        drop(done_tx);
+
+        let mut spare: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut finished: BTreeMap<u64, Block<F>> = BTreeMap::new();
+        let mut failure: Option<(u64, GompressoError)> = None;
+        let (mut next_read, mut next_emit, mut working, mut ended) = (0u64, 0u64, 0usize, false);
+        loop {
+            while failure.is_none() {
+                let Some(block) = finished.remove(&next_emit) else { break };
+                let emitted = emit(block.with, &block.output);
+                spare.push((block.input, block.output));
+                match emitted {
+                    Ok(()) => next_emit += 1,
+                    Err(e) => record_failure(&mut failure, next_emit, e),
                 }
             }
+            if failure.is_none() && !ended && next_read - next_emit < in_flight as u64 {
+                let (mut input, output) = spare.pop().unwrap_or_default();
+                match read(next_read, &mut input) {
+                    Ok(Some(with)) => {
+                        let block = Block { idx: next_read, input, output, with };
+                        job_tx.send(block).expect("the job receiver outlives the scope");
+                        next_read += 1;
+                        working += 1;
+                    }
+                    Ok(None) => ended = true,
+                    Err(e) => record_failure(&mut failure, next_read, e),
+                }
+            } else if working > 0 {
+                let Block { idx, input, output, with } =
+                    done_rx.recv().expect("a worker answers every block it takes");
+                working -= 1;
+                match with {
+                    Ok(with) => {
+                        finished.insert(idx, Block { idx, input, output, with });
+                    }
+                    Err(e) => record_failure(&mut failure, idx, e),
+                }
+            } else {
+                return failure.map_or(Ok(()), |(_, e)| Err(e));
+            }
         }
-    }
-    first_error
+    })
 }
 
 /// `io::Read` adapter counting every byte that passes through it.
@@ -438,14 +427,14 @@ impl StreamCompressor {
     /// Compresses `reader` into `writer` using the v4 streaming framing.
     /// The sink need not seek: the prelude totals stay at their sentinel
     /// and readers learn them from the trailer.
-    pub fn compress<R: Read + Send, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {
+    pub fn compress<R: Read, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {
         self.run(reader, &mut writer)
     }
 
     /// Like [`StreamCompressor::compress`], but additionally back-patches
     /// the prelude's uncompressed-size and block-count fields once the run
     /// completes, so the resulting file is self-describing from the front.
-    pub fn compress_seekable<R: Read + Send, W: Write + Seek>(
+    pub fn compress_seekable<R: Read, W: Write + Seek>(
         &self,
         reader: R,
         mut writer: W,
@@ -478,12 +467,11 @@ impl StreamCompressor {
         }
     }
 
-    fn run<R: Read + Send, W: Write>(&self, reader: R, writer: &mut W) -> Result<StreamStats> {
+    fn run<R: Read, W: Write>(&self, mut reader: R, writer: &mut W) -> Result<StreamStats> {
         let start = Instant::now();
         let cfg = &self.config;
         let block_size = cfg.block_size;
         let settings = cfg.file_settings();
-        let settings = &settings;
         let planner = planner_for(cfg);
         let planner = planner.as_ref();
         let coder =
@@ -498,129 +486,49 @@ impl StreamCompressor {
 
         let mut block_sizes: Vec<u32> = Vec::new();
         let mut total_in = 0u64;
-        let mut first_error: Option<GompressoError> = None;
-
-        // Shared pipeline state must outlive the scope's pool jobs.
-        let abort = AtomicBool::new(false);
-        let abort = &abort;
-        let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
-        for _ in 0..in_flight {
-            pool_tx.send(Vec::with_capacity(block_size)).expect("receiver alive");
-        }
-        let (work_tx, work_rx) = mpsc::channel::<(u64, Vec<u8>, BlockPlan)>();
-        let work_rx = Mutex::new(work_rx);
-        let work_rx = &work_rx;
-        let (done_tx, done_rx) = mpsc::channel::<DoneItem>();
-
-        rayon::scope(|s| {
-            // Worker stage, spawned before the reader (see the module
-            // docs): compress blocks with the shared scratch
-            // thread-locals; order is restored by the writer.
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let coder = &coder;
-                s.spawn(move || loop {
-                    let msg = lock_unpoisoned(work_rx).recv();
-                    let Ok((idx, buf, plan)) = msg else { break };
-                    let outcome = if abort.load(Ordering::Relaxed) {
-                        // The run is already failing: just return the buffer.
-                        BlockOutcome::Skipped
-                    } else {
-                        // catch_unwind: a panicking block becomes that
-                        // block's error and its buffer still recycles, so
-                        // the pipeline shuts down instead of deadlocking
-                        // on a buffer that never returns.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let block_start = Instant::now();
-                            let result = COMPRESS_SCRATCH.with(|scratch| {
-                                compress_block_with_scratch(
-                                    &buf,
-                                    settings,
-                                    &plan,
-                                    coder,
-                                    &mut scratch.borrow_mut(),
-                                )
-                            });
-                            match result {
-                                Ok((payload, _summary)) => {
-                                    planner.record(&BlockFeedback {
-                                        block_index: idx,
-                                        mode: plan.mode,
-                                        uncompressed_len: buf.len(),
-                                        compressed_len: payload.bytes.len(),
-                                        seconds: block_start.elapsed().as_secs_f64(),
-                                    });
-                                    let meta = FrameMeta {
-                                        config: plan.block_config(),
-                                        checksum: content_checksum(&buf),
-                                    };
-                                    BlockOutcome::Produced(payload.bytes, Some(meta))
-                                }
-                                Err(e) => BlockOutcome::Failed(e.in_block(idx, None)),
-                            }
-                        }))
-                        .unwrap_or_else(|p| {
-                            BlockOutcome::Failed(GompressoError::StagePanicked {
-                                stage: "compress worker",
-                                message: panic_message(p.as_ref()),
-                            })
-                        })
-                    };
-                    if done_tx.send((idx, buf, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            // Reader stage: fill pooled buffers with block-sized chunks and
-            // plan each block in block order (so the adaptive planner sees
-            // blocks in the same sequence as the in-memory compressor).
-            let reader_handle = s.spawn(move || -> Result<u64> {
-                let mut reader = reader;
-                let mut total = 0u64;
-                let mut idx = 0u64;
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(mut buf) = pool_rx.recv() else { break };
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    buf.resize(block_size, 0);
-                    let n = match read_full(&mut reader, &mut buf) {
-                        Ok(n) => n,
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            return Err(e.into());
-                        }
-                    };
-                    if n == 0 {
-                        break;
-                    }
-                    buf.truncate(n);
-                    total += n as u64;
-                    idx += 1;
-                    if idx > MAX_BLOCK_COUNT {
-                        abort.store(true, Ordering::Relaxed);
-                        return Err(invalid_field("block_count", idx));
-                    }
-                    let plan = planner.plan(idx - 1, &buf);
-                    if work_tx.send((idx - 1, buf, plan)).is_err() {
-                        break;
-                    }
+        run_pipeline(
+            workers,
+            in_flight,
+            "compress worker",
+            // Read block-sized chunks and plan each block in block order, so
+            // the adaptive planner sees blocks in the same sequence as the
+            // in-memory compressor.
+            |idx, buf| {
+                buf.resize(block_size, 0);
+                let n = read_full(&mut reader, buf)?;
+                if n == 0 {
+                    return Ok(None);
                 }
-                Ok(total)
-            });
-
-            drop(done_tx);
-
-            // Writer stage (this thread): emit framed blocks in order — the
-            // frame head (payload length, the block's config record, the
-            // content checksum of its uncompressed bytes), then the payload.
-            first_error = writer_stage(&done_rx, &pool_tx, None, abort, |_, meta, payload| {
+                buf.truncate(n);
+                total_in += n as u64;
+                if idx >= MAX_BLOCK_COUNT {
+                    return Err(invalid_field("block_count", idx + 1));
+                }
+                Ok(Some(planner.plan(idx, buf)))
+            },
+            |idx, buf, plan, out| {
+                let block_start = Instant::now();
+                let (payload, _summary) = COMPRESS_SCRATCH
+                    .with(|scratch| {
+                        compress_block_with_scratch(buf, &settings, &plan, &coder, &mut scratch.borrow_mut())
+                    })
+                    .map_err(|e| e.in_block(idx, None))?;
+                planner.record(&BlockFeedback {
+                    block_index: idx,
+                    mode: plan.mode,
+                    uncompressed_len: buf.len(),
+                    compressed_len: payload.bytes.len(),
+                    seconds: block_start.elapsed().as_secs_f64(),
+                });
+                *out = payload.bytes;
+                Ok(FrameMeta { config: plan.block_config(), checksum: content_checksum(buf) })
+            },
+            // Emit the frame head (payload length, the block's config
+            // record, the content checksum of its uncompressed bytes), then
+            // the payload.
+            |meta, payload| {
                 let len = u32::try_from(payload.len())
                     .map_err(|_| invalid_field("block_compressed_size", payload.len() as u64))?;
-                let meta = meta.expect("compressor frames always carry a config");
                 let mut head = ByteWriter::new();
                 write_frame_head(&mut head, len, &meta.config, meta.checksum);
                 writer.write_all(head.as_slice())?;
@@ -628,21 +536,8 @@ impl StreamCompressor {
                 container_bytes += (head.len() + payload.len()) as u64;
                 block_sizes.push(len);
                 Ok(())
-            });
-
-            match join_stage(reader_handle, "reader") {
-                Ok(Ok(total)) => total_in = total,
-                Ok(Err(e)) | Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        });
-
-        if let Some(e) = first_error {
-            return Err(e);
-        }
+            },
+        )?;
 
         container_bytes += write_varint_io(writer, 0)?;
         let blocks = block_sizes.len() as u64;
@@ -695,148 +590,75 @@ impl StreamDecompressor {
     /// [`DecompressorConfig::verify_checksums`] is off), and the trailer's
     /// block table and totals must agree with what was actually read and
     /// produced.
-    pub fn decompress<R: Read + Send, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {
+    pub fn decompress<R: Read, W: Write>(&self, reader: R, mut writer: W) -> Result<StreamStats> {
         let start = Instant::now();
-        let mut counting = CountingReader { inner: reader, count: 0 };
-        let (prelude, _) = read_prelude(&mut counting, StreamPrelude::deserialize)?;
-        let prelude = &prelude;
+        let mut r = CountingReader { inner: reader, count: 0 };
+        let (prelude, _) = read_prelude(&mut r, StreamPrelude::deserialize)?;
         let coder = TokenCoder::new(prelude.min_match_len, prelude.max_match_len, prelude.window_size)?;
         let block_size = prelude.block_size as usize;
 
         let workers = effective_workers(self.workers);
         let in_flight = blocks_in_flight(self.mem_budget, block_size, workers);
-        let dconf = &self.config;
         let (slot, max_match) = (Slot::UpTo(block_size as u64), prelude.max_match_len);
 
+        let mut observed: Vec<u32> = Vec::new();
+        let mut configs: Vec<BlockConfig> = Vec::new();
+        let mut head = vec![0u8; prelude.frame_overhead()];
         let mut total_out = 0u64;
         let mut blocks_written = 0u64;
-        let mut first_error: Option<GompressoError> = None;
-        type ReaderOutcome = (StreamTrailer, Vec<u32>, Vec<BlockConfig>, u64);
-        let mut reader_outcome: Option<Result<ReaderOutcome>> = None;
-
-        // Shared pipeline state must outlive the scope's pool jobs.
-        let abort = AtomicBool::new(false);
-        let abort = &abort;
-        let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
-        for _ in 0..in_flight {
-            pool_tx.send(Vec::new()).expect("receiver alive");
-        }
-        let (work_tx, work_rx) = mpsc::channel::<FrameJob>();
-        let work_rx = Mutex::new(work_rx);
-        let work_rx = &work_rx;
-        let (done_tx, done_rx) = mpsc::channel::<DoneItem>();
-        // Emitted output buffers circle back to the workers, so the output
-        // side performs no steady-state allocation either.
-        let (scrap_tx, scrap_rx) = mpsc::channel::<Vec<u8>>();
-        let scrap_rx = Mutex::new(scrap_rx);
-        let scrap_rx = &scrap_rx;
-
-        rayon::scope(|s| {
-            // Worker stage, spawned before the reader (see the module
-            // docs): admit each block's declared size, then decode into a
-            // per-block output buffer.
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let coder = &coder;
-                s.spawn(move || loop {
-                    let msg = lock_unpoisoned(work_rx).recv();
-                    let Ok(FrameJob { idx, payload: buf, config, checksum, offset }) = msg else { break };
-                    let outcome = if abort.load(Ordering::Relaxed) {
-                        BlockOutcome::Skipped
-                    } else {
-                        // catch_unwind: see the compression worker.
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut out = lock_unpoisoned(scrap_rx).try_recv().unwrap_or_default();
-                            // Resizing only zero-fills the grown tail of
-                            // the recycled buffer; a decode succeeds only
-                            // once every byte of it was written.
-                            let i = idx as usize;
-                            let decoded = admit_block(config.mode, &buf, slot, max_match).and_then(|n| {
-                                out.resize(n as usize, 0);
-                                decompress_block_checked(dconf, &config, coder, i, &buf, checksum, &mut out)
-                            });
-                            match decoded {
-                                Ok(()) => BlockOutcome::Produced(out, None),
-                                Err(e) => BlockOutcome::Failed(e.in_block(idx, Some(offset))),
-                            }
-                        }))
-                        .unwrap_or_else(|p| {
-                            BlockOutcome::Failed(GompressoError::StagePanicked {
-                                stage: "decompress worker",
-                                message: panic_message(p.as_ref()),
-                            })
-                        })
-                    };
-                    if done_tx.send((idx, buf, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            // Reader stage: split the stream into length-prefixed frames
-            // (parsing each frame head), then swallow and parse the trailer.
-            let reader_handle = s.spawn(move || -> Result<ReaderOutcome> {
-                let mut r = counting;
-                let mut observed: Vec<u32> = Vec::new();
-                let mut configs: Vec<BlockConfig> = Vec::new();
-                let mut head = vec![0u8; prelude.frame_overhead()];
-                let mut idx = 0u64;
-                let on_err = |e: GompressoError| {
-                    abort.store(true, Ordering::Relaxed);
-                    e
-                };
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        return Err(on_err(invalid_field("aborted", idx)));
-                    }
-                    let frame_offset = r.count;
-                    let len = read_varint_io(&mut r).map_err(on_err)?;
-                    if len == 0 {
-                        break;
-                    }
-                    if len > prelude.max_payload_len() || len > u64::from(u32::MAX) {
-                        return Err(on_err(invalid_field("block_compressed_size", len)));
-                    }
-                    if idx >= MAX_BLOCK_COUNT {
-                        return Err(on_err(invalid_field("block_count", idx + 1)));
-                    }
-                    r.read_exact(&mut head).map_err(|e| on_err(truncated_block(e, idx)))?;
-                    let (config, checksum) = prelude
-                        .parse_frame_head(&mut ByteReader::new(&head))
-                        .map_err(|e| on_err(GompressoError::Format(e)))?;
-                    let Ok(mut buf) = pool_rx.recv() else { break };
-                    if abort.load(Ordering::Relaxed) {
-                        return Err(on_err(invalid_field("aborted", idx)));
-                    }
-                    // Grow the buffer as bytes actually arrive: a frame
-                    // length lying about the remaining stream costs at most
-                    // one read step of allocation, even when the prelude
-                    // declares a huge (but validator-legal) block size.
-                    read_frame_growing(&mut r, &mut buf, len as usize, idx).map_err(on_err)?;
-                    observed.push(len as u32);
-                    configs.push(config);
-                    let job = FrameJob { idx, payload: buf, config, checksum, offset: frame_offset };
-                    if work_tx.send(job).is_err() {
-                        break;
-                    }
-                    idx += 1;
+        let mut saw_short = false;
+        run_pipeline(
+            workers,
+            in_flight,
+            "decompress worker",
+            // Split the stream into length-prefixed frames, parsing each
+            // frame head.
+            |idx, buf| {
+                let offset = r.count;
+                let len = read_varint_io(&mut r)?;
+                if len == 0 {
+                    return Ok(None);
                 }
-                drop(work_tx);
-                // The trailer is everything that remains; cap the read so a
-                // hostile stream cannot make us buffer unbounded garbage.
-                let cap = 64 + 5 * (observed.len() as u64 + 1);
-                let mut trailer_bytes = Vec::new();
-                (&mut r).take(cap + 1).read_to_end(&mut trailer_bytes).map_err(|e| on_err(e.into()))?;
-                let trailer = StreamTrailer::deserialize(&trailer_bytes, prelude.checksummed())
-                    .map_err(|e| on_err(GompressoError::Format(e)))?;
-                Ok((trailer, observed, configs, r.count))
-            });
-
-            drop(done_tx);
-
-            // Writer stage (this thread): emit decoded blocks in order and
-            // enforce that only the final block is short.
-            let mut saw_short = false;
-            first_error = writer_stage(&done_rx, &pool_tx, Some(&scrap_tx), abort, |_, _, out| {
+                if len > prelude.max_payload_len() || len > u64::from(u32::MAX) {
+                    return Err(invalid_field("block_compressed_size", len));
+                }
+                if idx >= MAX_BLOCK_COUNT {
+                    return Err(invalid_field("block_count", idx + 1));
+                }
+                r.read_exact(&mut head).map_err(|e| truncated_block(e, idx))?;
+                let (config, checksum) = prelude.parse_frame_head(&mut ByteReader::new(&head))?;
+                // Grow the buffer as bytes actually arrive: a frame length
+                // lying about the remaining stream costs at most one read
+                // step of allocation, even when the prelude declares a huge
+                // (but validator-legal) block size.
+                read_frame_growing(&mut r, buf, len as usize, idx)?;
+                observed.push(len as u32);
+                configs.push(config);
+                Ok(Some(FrameHead { config, checksum, offset }))
+            },
+            // Admit each block's declared size, then decode into the
+            // recycled output buffer. Resizing only zero-fills its grown
+            // tail; a decode succeeds only once every byte of it was written.
+            |idx, payload, frame, out| {
+                admit_block(frame.config.mode, payload, slot, max_match)
+                    .and_then(|n| {
+                        out.resize(n as usize, 0);
+                        let i = idx as usize;
+                        decompress_block_checked(
+                            &self.config,
+                            &frame.config,
+                            &coder,
+                            i,
+                            payload,
+                            frame.checksum,
+                            out,
+                        )
+                    })
+                    .map_err(|e| e.in_block(idx, Some(frame.offset)))
+            },
+            // Emit decoded blocks, enforcing that only the final block is
+            // short.
+            |(), out| {
                 if saw_short {
                     // A block shorter than block_size that is not the
                     // file's last block breaks the layout.
@@ -847,16 +669,15 @@ impl StreamDecompressor {
                 total_out += out.len() as u64;
                 blocks_written += 1;
                 Ok(())
-            });
+            },
+        )?;
 
-            reader_outcome = Some(join_stage(reader_handle, "reader").and_then(|r| r));
-        });
-
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let (trailer, observed, configs, container_bytes) =
-            reader_outcome.expect("reader outcome recorded")?;
+        // The trailer is everything that remains; cap the read so a hostile
+        // stream cannot make us buffer unbounded garbage.
+        let cap = 64 + 5 * (observed.len() as u64 + 1);
+        let mut trailer_bytes = Vec::new();
+        (&mut r).take(cap + 1).read_to_end(&mut trailer_bytes)?;
+        let trailer = StreamTrailer::deserialize(&trailer_bytes, prelude.checksummed())?;
 
         // Framing cross-checks: what the trailer (and, if patched, the
         // prelude) declares must agree with what was actually read and
@@ -892,7 +713,7 @@ impl StreamDecompressor {
 
         Ok(StreamStats {
             uncompressed_size: total_out,
-            compressed_size: container_bytes,
+            compressed_size: r.count,
             blocks: blocks_written,
             workers,
             blocks_in_flight: in_flight,
@@ -1355,17 +1176,85 @@ mod tests {
 
     #[test]
     fn panicking_stage_is_reported_not_aborted() {
-        rayon::scope(|s| {
-            let handle = s.spawn(|| panic!("boom in stage"));
-            let err = join_stage(handle, "reader").unwrap_err();
-            assert!(
-                matches!(
-                    &err,
-                    GompressoError::StagePanicked { stage: "reader", message } if message.contains("boom")
-                ),
-                "got {err:?}"
-            );
+        let result = run_pipeline(
+            2,
+            4,
+            "compress worker",
+            |idx, _| Ok((idx < 8).then_some(())),
+            |idx, _, (), _| {
+                if idx == 3 {
+                    panic!("boom in block {idx}");
+                }
+                Ok(())
+            },
+            |(), _| Ok(()),
+        );
+        let err = result.unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                GompressoError::StagePanicked { stage: "compress worker", message }
+                    if message.contains("boom in block 3")
+            ),
+            "got {err:?}"
+        );
+    }
+
+    /// A sink that panics on the write after its first `writes_left`.
+    struct PanickingSink {
+        writes_left: usize,
+    }
+
+    impl Write for PanickingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.writes_left == 0 {
+                panic!("the sink fails");
+            }
+            self.writes_left -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `call` on its own thread and reports whether it panicked. A
+    /// call still running after 60 s fails the test instead of hanging it
+    /// (and leaves its thread behind).
+    fn panics_within_deadline(call: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(call)).is_err());
         });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the call neither returned nor panicked");
+        runner.join().expect("the runner catches the call's panic");
+        panicked
+    }
+
+    #[test]
+    fn panicking_sink_ends_the_run_instead_of_hanging_it() {
+        let cfg = small(CompressorConfig::bit());
+        let data = wiki_like(20 * cfg.block_size);
+        let mut compressed = Vec::new();
+        StreamCompressor::new(cfg.clone()).unwrap().compress(data.as_slice(), &mut compressed).unwrap();
+
+        // The prelude is the compressor's first write, the first frame head
+        // its second.
+        let compressor = StreamCompressor::new(cfg).unwrap().with_workers(1).with_mem_budget(1);
+        let compress = move || {
+            let _ = compressor.compress(data.as_slice(), PanickingSink { writes_left: 1 });
+        };
+        assert!(panics_within_deadline(compress), "the compressor's sink panic was swallowed");
+
+        let decompressor =
+            StreamDecompressor::new(DecompressorConfig::default()).with_workers(1).with_mem_budget(1);
+        let decompress = move || {
+            let _ = decompressor.decompress(compressed.as_slice(), PanickingSink { writes_left: 0 });
+        };
+        assert!(panics_within_deadline(decompress), "the decompressor's sink panic was swallowed");
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //!
 //! Jobs stream through the ordinary [`StreamCompressor`] /
 //! [`StreamDecompressor`] pipelines via two adapters: [`FrameSource`]
-//! presents incoming `Data` frames as an `io::Read` (so the pipeline's
-//! reader stage pulls straight off the socket), and [`FrameSink`] slices
-//! produced bytes into outgoing `Data` frames. Because the pipeline's
-//! reader runs on its own stage thread while the writer runs on the
-//! session thread, a job is naturally full-duplex: output flows back
-//! while input is still arriving, and bounded socket buffers can never
-//! deadlock a large transfer.
+//! presents incoming `Data` frames as an `io::Read` (so the pipeline reads
+//! straight off the socket), and [`FrameSink`] slices produced bytes into
+//! outgoing `Data` frames. The pipeline's reading and writing both run on
+//! the session thread, which interleaves them block by block: output frames
+//! flow back while input frames are still arriving. What keeps bounded
+//! socket buffers from deadlocking a large transfer is the client's
+//! separate sender thread, which keeps sending input while the client's
+//! main thread drains the output.
 
 use crate::admission::SessionSlot;
 use crate::protocol::{
@@ -208,7 +209,7 @@ impl Session<'_> {
                     FrameKind::ReqDecompress => stats.jobs_decompress.bump(),
                     _ => stats.jobs_verify.bump(),
                 }
-                let summary = summarize(kind, &run_stats);
+                let summary = summarize(&run_stats);
                 match write_frame(&mut self.writer, FrameKind::Ok, &summary.encode())
                     .and_then(|()| self.writer.flush())
                 {
@@ -305,8 +306,7 @@ fn parse_compress_config(payload: &[u8]) -> Result<CompressorConfig, String> {
 /// The wire summary of a finished job. Compression reports the container
 /// bytes it produced; decompression/verify report the container bytes it
 /// consumed — either way `compressed` is the v4 container side.
-fn summarize(kind: FrameKind, s: &StreamStats) -> JobSummary {
-    let _ = kind;
+fn summarize(s: &StreamStats) -> JobSummary {
     JobSummary { uncompressed: s.uncompressed_size, compressed: s.compressed_size, blocks: s.blocks }
 }
 

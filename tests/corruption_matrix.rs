@@ -495,6 +495,38 @@ fn stream_cut_at_a_frame_boundary_reports_the_missing_tail() {
     assert_small_and_exact(&out, &report, &data);
 }
 
+/// A damaged block followed by a cut: the strict stream decoder reports
+/// the damaged block at every worker count, however the workers happen to
+/// interleave, because queued blocks always finish and the lowest failing
+/// block wins.
+#[test]
+fn reported_stream_error_does_not_depend_on_the_worker_count() {
+    let mut config = CompressorConfig::bit_de();
+    config.block_size = 16 * 1024;
+    let data = text_input(12 * config.block_size);
+    let mut stream = Vec::new();
+    StreamCompressor::new(config).unwrap().compress(data.as_slice(), &mut stream).unwrap();
+    let entries = ArchiveReader::open(Cursor::new(&stream)).unwrap().index().entries().to_vec();
+    assert_eq!(entries.len(), 12);
+    let middle =
+        |k: usize| (entries[k].compressed_offset + u64::from(entries[k].compressed_size) / 2) as usize;
+    let mut damaged = stream[..middle(9)].to_vec();
+    damaged[middle(2)] ^= 0xFF;
+    for workers in [1, 2, 4] {
+        for run in 0..40 {
+            let mut out = Vec::new();
+            let err = StreamDecompressor::new(DecompressorConfig::default())
+                .with_workers(workers)
+                .decompress(damaged.as_slice(), &mut out)
+                .unwrap_err();
+            assert!(
+                matches!(err, GompressoError::InBlock { block: 2, .. }),
+                "{workers} workers, run {run}: got {err:?}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Random-access damage locality: a flip in block k fails exactly the
 // ranges that touch block k.
