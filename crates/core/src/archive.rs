@@ -1,6 +1,6 @@
 //! Random-access decoding of archives on disk.
 //!
-//! The whole-file decompressors ([`crate::decompress`], [`crate::stream`])
+//! The whole-file decompressors ([`crate::decompress()`], [`crate::stream`])
 //! answer "give me the original bytes"; this module answers the paper's
 //! actual query-engine question — "give me bytes 17 MiB through 19 MiB,
 //! now" — without touching the rest of the archive. [`ArchiveReader`] wraps
@@ -11,7 +11,7 @@
 //!   block-size table, prefix-summed from the end of the header;
 //! * **streaming containers** (`.gpsos`, v2–v4) index trailer-first
 //!   through the trusted stream geometry the salvage decoder shares
-//!   ([`locate_stream_frames`]): the self-locating trailer pins every
+//!   (`locate_stream_frames`): the self-locating trailer pins every
 //!   frame's exact offset, and one small read per frame head recovers the
 //!   per-block config (v3+) and content checksum (v4).
 //!

@@ -9,18 +9,14 @@
 //! rayon thread pool, which stands in for both the GPU compression kernels
 //! of the authors' earlier work and the paper's parallelised CPU libraries.
 //!
-//! Since the v3 container, each block carries its own codec plan. Under
-//! static planning every block shares the configured plan and compression is
-//! one flat parallel pass, exactly as before. Under adaptive planning the
-//! compressor processes blocks in fixed-size *waves*: each wave is planned
-//! sequentially in block order (so the planner sees feedback from earlier
-//! waves), compressed in parallel, and its outcomes are fed back in block
-//! order. The wave size is a constant, independent of thread count, so
-//! adaptive compression is deterministic: the same input always produces the
-//! same archive regardless of parallelism.
+//! Since the v3 container, each block carries its own codec plan, which
+//! [`plan_block`] picks from the configuration and the block's own bytes.
+//! Compression is therefore one flat parallel pass under every planning
+//! mode: each worker plans, matches, entropy-codes and checksums the blocks
+//! it takes, independently of every other block.
 
-use crate::config::{BlockPlan, CompressorConfig, FileSettings};
-use crate::planner::{planner_for, BlockFeedback, Planner};
+use crate::config::{CompressorConfig, FileSettings};
+use crate::planner::plan_block;
 use crate::stats::CompressionStats;
 use crate::Result;
 use gompresso_bitstream::ByteWriter;
@@ -32,13 +28,6 @@ use gompresso_lz77::{Matcher, MatcherScratch, SequenceBlock};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::time::Instant;
-
-/// Blocks planned (sequentially, in order) and then compressed (in
-/// parallel) per adaptive wave. A constant — never derived from the thread
-/// count — so adaptive output is identical on any machine. Small enough
-/// that feedback reaches the planner quickly, large enough to keep a
-/// typical pool busy.
-const PLAN_WAVE: usize = 8;
 
 /// The result of a compression run: the in-memory file plus statistics.
 #[derive(Debug, Clone)]
@@ -75,23 +64,34 @@ thread_local! {
     });
 }
 
-/// Compresses one data block under `plan` into its serialized payload,
-/// reusing the per-worker `scratch`. Shared by the in-memory [`Compressor`]
-/// and the bounded-memory streaming pipeline in [`crate::stream`], so both
-/// paths produce byte-identical block payloads for the same plan.
+/// One compressed block: its serialized payload, the plan's container
+/// record, its match statistics, and the content checksum of its
+/// *uncompressed* bytes, which the v4 header and stream frames record so
+/// decompression can prove the payload round-trips.
+pub(crate) struct CompressedBlock {
+    pub(crate) payload: BlockPayload,
+    pub(crate) config: BlockConfig,
+    pub(crate) summary: BlockSummary,
+    pub(crate) checksum: u64,
+}
+
+/// Plans, matches, entropy-codes and checksums one data block of a file
+/// compressed under `config`, reusing the per-worker `scratch`. Shared by
+/// the in-memory [`Compressor`] and the bounded-memory streaming pipeline in
+/// [`crate::stream`], so both paths produce byte-identical blocks.
 pub(crate) fn compress_block_with_scratch(
     chunk: &[u8],
+    config: &CompressorConfig,
     settings: &FileSettings,
-    plan: &BlockPlan,
     coder: &TokenCoder,
     scratch: &mut CompressScratch,
-) -> Result<(BlockPayload, BlockSummary)> {
+) -> Result<CompressedBlock> {
+    let plan = plan_block(config, chunk);
     // Matcher construction is a handful of field copies; building one per
     // block keeps per-block plans self-contained.
     let matcher = Matcher::new(plan.matcher_config(settings));
     matcher.compress_into(chunk, &mut scratch.seq_block, &mut scratch.matcher);
     let seq_block = &scratch.seq_block;
-    let summary = BlockSummary::from(seq_block);
     let w = match plan.mode {
         EncodingMode::Bit => {
             let bit = BitBlock::encode_with_scratch(
@@ -114,40 +114,11 @@ pub(crate) fn compress_block_with_scratch(
             w
         }
     };
-    Ok((BlockPayload { bytes: w.finish() }, summary))
-}
-
-/// One compressed block with the plan's container record and bookkeeping.
-struct CompressedBlock {
-    payload: BlockPayload,
-    config: BlockConfig,
-    summary: BlockSummary,
-    mode: EncodingMode,
-    uncompressed_len: usize,
-    seconds: f64,
-    /// Content checksum of the block's *uncompressed* bytes, recorded in
-    /// the v4 header so decompression can prove the payload round-trips.
-    checksum: u64,
-}
-
-fn compress_one(
-    chunk: &[u8],
-    settings: &FileSettings,
-    plan: &BlockPlan,
-    coder: &TokenCoder,
-) -> Result<CompressedBlock> {
-    let start = Instant::now();
-    let (payload, summary) = COMPRESS_SCRATCH.with(|scratch| {
-        compress_block_with_scratch(chunk, settings, plan, coder, &mut scratch.borrow_mut())
-    })?;
     Ok(CompressedBlock {
+        payload: BlockPayload { bytes: w.finish() },
         config: plan.block_config(),
-        summary,
-        mode: plan.mode,
-        uncompressed_len: chunk.len(),
-        seconds: start.elapsed().as_secs_f64(),
+        summary: BlockSummary::from(seq_block),
         checksum: content_checksum(chunk),
-        payload,
     })
 }
 
@@ -183,20 +154,21 @@ impl Compressor {
         let cfg = &self.config;
         let settings = cfg.file_settings();
         let coder = self.token_coder()?;
-        let planner = planner_for(cfg);
 
         let chunks: Vec<&[u8]> =
             if data.is_empty() { Vec::new() } else { data.chunks(cfg.block_size).collect() };
 
         // Per-block compression runs in parallel; each block is independent
-        // by construction (the sliding window never crosses block borders).
-        let per_block: Vec<Result<CompressedBlock>> = if !planner.is_adaptive() {
-            // Static planning: one plan for every block, one flat pass.
-            let plan = planner.plan(0, &[]);
-            chunks.par_iter().map(|chunk| compress_one(chunk, &settings, &plan, &coder)).collect()
-        } else {
-            compress_adaptive(&chunks, &settings, planner.as_ref(), &coder)
-        };
+        // by construction (the sliding window never crosses block borders,
+        // and each plan comes from the block's own bytes).
+        let per_block: Vec<Result<CompressedBlock>> = chunks
+            .par_iter()
+            .map(|chunk| {
+                COMPRESS_SCRATCH.with(|scratch| {
+                    compress_block_with_scratch(chunk, cfg, &settings, &coder, &mut scratch.borrow_mut())
+                })
+            })
+            .collect();
 
         let mut payloads = Vec::with_capacity(per_block.len());
         let mut configs = Vec::with_capacity(per_block.len());
@@ -239,42 +211,6 @@ impl Compressor {
         };
         Ok(CompressedOutput { file, stats })
     }
-}
-
-/// Adaptive compression: plan a wave sequentially, compress it in parallel,
-/// feed outcomes back in block order, repeat. Planning and feedback order
-/// depend only on the input, so the emitted archive is deterministic.
-fn compress_adaptive(
-    chunks: &[&[u8]],
-    settings: &FileSettings,
-    planner: &dyn Planner,
-    coder: &TokenCoder,
-) -> Vec<Result<CompressedBlock>> {
-    let mut out: Vec<Result<CompressedBlock>> = Vec::with_capacity(chunks.len());
-    for (wave_index, wave) in chunks.chunks(PLAN_WAVE).enumerate() {
-        let base = wave_index * PLAN_WAVE;
-        let plans: Vec<BlockPlan> =
-            wave.iter().enumerate().map(|(i, chunk)| planner.plan((base + i) as u64, chunk)).collect();
-        let plans = &plans;
-        let mut results: Vec<Result<CompressedBlock>> = wave
-            .par_iter()
-            .enumerate()
-            .map(|(i, chunk)| compress_one(chunk, settings, &plans[i], coder))
-            .collect();
-        for (i, result) in results.iter().enumerate() {
-            if let Ok(block) = result {
-                planner.record(&BlockFeedback {
-                    block_index: (base + i) as u64,
-                    mode: block.mode,
-                    uncompressed_len: block.uncompressed_len,
-                    compressed_len: block.payload.bytes.len(),
-                    seconds: block.seconds,
-                });
-            }
-        }
-        out.append(&mut results);
-    }
-    out
 }
 
 /// Aggregatable per-block statistics.
@@ -452,8 +388,8 @@ mod tests {
         let mut data = text(300 * 1024);
         data.extend_from_slice(&noise(300 * 1024));
         let config = CompressorConfig { block_size: 32 * 1024, ..CompressorConfig::auto() };
-        // Plans are made and feedback is recorded in block order regardless
-        // of worker scheduling, so repeated runs must agree byte-for-byte.
+        // Each plan depends only on its block's bytes, never on worker
+        // scheduling, so repeated runs must agree byte-for-byte.
         let a = compress(&data, &config).unwrap().file.serialize();
         let b = compress(&data, &config).unwrap().file.serialize();
         assert_eq!(a, b);

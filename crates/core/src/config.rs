@@ -9,12 +9,13 @@
 //!   records once, and
 //! * [`BlockPlan`] — everything a worker needs to compress *one* block
 //!   (mode, resolution strategy, DE flag, entropy parameters, matcher
-//!   tuning), produced per block by a [`crate::planner::Planner`].
+//!   tuning), which the worker gets from [`crate::plan_block`] for each
+//!   block it compresses.
 //!
 //! [`PlanningMode::Static`] stamps the configured plan onto every block
 //! (pre-v3 behaviour); [`PlanningMode::Adaptive`] — enabled by
-//! [`CompressorConfig::auto`] — probes each block and picks the plan per
-//! block.
+//! [`CompressorConfig::auto`] — probes each block and picks its plan from
+//! that block's bytes alone.
 
 use crate::strategy::ResolutionStrategy;
 use crate::{GompressoError, Result};
@@ -27,9 +28,9 @@ pub enum PlanningMode {
     /// Every block uses the plan implied by the [`CompressorConfig`] fields.
     #[default]
     Static,
-    /// Each block's plan is chosen by the adaptive planner from a content
-    /// probe (byte entropy, match density, dependency structure) combined
-    /// with smoothed feedback from recently finished blocks.
+    /// Each block's mode and DE flag are chosen from a content probe of
+    /// that block alone (byte entropy, match density, dependency
+    /// structure); see [`crate::plan_block`].
     Adaptive,
 }
 
@@ -120,14 +121,14 @@ impl BlockPlan {
 ///
 /// The `mode`, `dependency_elimination` and entropy fields describe the
 /// *default block plan*. With [`PlanningMode::Static`] (the default) that
-/// plan applies to every block, as in pre-v3 versions; with
-/// [`PlanningMode::Adaptive`] ([`CompressorConfig::auto`]) the planner may
-/// override mode and DE per block, and these fields act as the fallback and
-/// parameter source (CWL, sub-block size, matcher tuning).
+/// plan applies to every block, as in pre-v3 versions. With
+/// [`PlanningMode::Adaptive`] ([`CompressorConfig::auto`]) each block's probe
+/// picks its mode and DE flag, so `mode` and `dependency_elimination` are
+/// unused; the other plan fields apply to every block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressorConfig {
-    /// Bit-level (Huffman) or byte-level encoding (per-block under adaptive
-    /// planning; the uniform choice under static planning).
+    /// Bit-level (Huffman) or byte-level encoding of every block under
+    /// static planning; unused under adaptive planning.
     pub mode: EncodingMode,
     /// Uncompressed size of each data block. Chosen "depending on the total
     /// data size and the number of available processing elements".
@@ -148,8 +149,8 @@ pub struct CompressorConfig {
     pub sequences_per_sub_block: u32,
     /// Maximum Huffman codeword length (CWL) — bounds the decode LUT size.
     pub max_codeword_len: u8,
-    /// Enable Dependency Elimination during matching (per-block under
-    /// adaptive planning).
+    /// Enable Dependency Elimination during matching under static
+    /// planning; unused under adaptive planning.
     pub dependency_elimination: bool,
     /// Use the paper's conservative below-high-water-mark DE rule instead of
     /// the precise no-same-group-dependency rule.
@@ -203,9 +204,8 @@ impl CompressorConfig {
     }
 
     /// Adaptive per-block planning: each block's mode and strategy are
-    /// chosen from a content probe plus feedback from finished blocks, so
-    /// heterogeneous files get Huffman coding where it pays and cheap byte
-    /// coding where it does not.
+    /// chosen from a content probe of that block, so heterogeneous files get
+    /// Huffman coding where it pays and cheap byte coding where it does not.
     pub fn auto() -> Self {
         Self { planning: PlanningMode::Adaptive, ..Self::default() }
     }
@@ -222,7 +222,8 @@ impl CompressorConfig {
     }
 
     /// The default block plan implied by the flat fields — the plan every
-    /// block gets under static planning and the adaptive planner's fallback.
+    /// block gets under static planning, with its mode and DE flag replaced
+    /// per block under adaptive planning.
     pub fn base_plan(&self) -> BlockPlan {
         BlockPlan {
             mode: self.mode,

@@ -63,7 +63,9 @@ pub use config::{BlockPlan, CompressorConfig, FileSettings, PlanningMode};
 pub use decompress::{decompress, decompress_with, Decompressor, DecompressorConfig};
 pub use error::GompressoError;
 pub use fault::{FaultPlan, FaultReader, FaultWriter};
-pub use planner::{planner_for, AdaptivePlanner, BlockFeedback, Planner, StaticPlanner};
+pub use planner::plan_block;
+#[doc(hidden)]
+pub use planner::{planner_for, BlockFeedback};
 pub use salvage::{decompress_salvage, salvage_file, BlockRecord, BlockStatus, RecoveryReport};
 pub use scan::{scan_count_lines, scan_filter_count, scan_filter_map, scan_lines, ScanOptions, ScanStats};
 pub use stats::{CompressionStats, DecompressionReport, GpuEstimate, MrrStats, SimulationReport};

@@ -4,93 +4,30 @@
 //! the {Bit,Byte} × {SC,MRR,DE} grid depends on the data: Huffman coding
 //! wins on text, byte-level coding on barely-compressible data, and
 //! Dependency Elimination costs ratio exactly where back-references nest.
-//! With the v3 container recording a [`BlockConfig`] per block, that choice
-//! no longer has to be file-wide — a [`Planner`] picks a [`BlockPlan`] for
-//! every block the compressor is about to process.
+//! With the v3 container recording a [`BlockConfig`](crate::BlockConfig)
+//! per block, that choice no longer has to be file-wide: [`plan_block`]
+//! picks a [`BlockPlan`] for every block the compressor is about to
+//! process.
 //!
-//! Two planners exist:
-//!
-//! * [`StaticPlanner`] stamps one configured plan onto every block —
+//! * [`PlanningMode::Static`] stamps the configured plan onto every block —
 //!   exactly the pre-v3 behaviour, and zero overhead.
-//! * [`AdaptivePlanner`] probes a small prefix of each block (byte-entropy
-//!   histogram, plus an LZ77 probe over the sample that yields the match
-//!   density and the same-warp dependency rate from
-//!   [`gompresso_lz77::analysis`]) and combines the probe with
-//!   exponentially-smoothed ratio feedback from blocks that already
-//!   finished, in the spirit of self-tuning compressors: nearly
-//!   incompressible blocks drop to cheap byte coding, naturally
-//!   dependency-free blocks get the DE single-round guarantee for free, and
-//!   everything else keeps Huffman + MRR for ratio.
+//! * [`PlanningMode::Adaptive`] probes a small prefix of the block
+//!   (byte-entropy histogram, plus an LZ77 probe over the sample that yields
+//!   the match density and the same-warp dependency rate from
+//!   [`gompresso_lz77::analysis`]): nearly incompressible blocks drop to
+//!   cheap byte coding, naturally dependency-free blocks get the DE
+//!   single-round guarantee for free, and everything else keeps
+//!   Huffman + MRR for ratio.
 //!
-//! Planning is deterministic for a given input and plan order: the
-//! in-memory compressor plans in fixed-size waves and feeds back results in
-//! block order (see [`crate::compress`]), so the same file compresses to
-//! the same bytes regardless of thread count.
+//! A plan depends only on the configuration and the block's own bytes, so
+//! every path that compresses a block (in memory or streamed, at any worker
+//! count) plans it identically and the same input always produces the same
+//! archive.
 
-use crate::config::{BlockPlan, CompressorConfig, FileSettings, PlanningMode};
+use crate::config::{BlockPlan, CompressorConfig, PlanningMode};
 use gompresso_format::EncodingMode;
 use gompresso_lz77::{analysis, Matcher, MatcherScratch, SequenceBlock, GROUP_SIZE};
 use std::cell::RefCell;
-use std::sync::Mutex;
-
-/// Result of compressing one block, fed back to the planner so later plans
-/// can react to how earlier choices actually performed.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockFeedback {
-    /// Index of the finished block.
-    pub block_index: u64,
-    /// Encoding mode the block was compressed with.
-    pub mode: EncodingMode,
-    /// Uncompressed bytes in the block.
-    pub uncompressed_len: usize,
-    /// Compressed payload bytes the block produced.
-    pub compressed_len: usize,
-    /// Wall-clock seconds the block's compression took.
-    pub seconds: f64,
-}
-
-/// Chooses the codec plan for each block.
-pub trait Planner: Send + Sync {
-    /// Plans the block at `block_index` holding `data`.
-    fn plan(&self, block_index: u64, data: &[u8]) -> BlockPlan;
-
-    /// Records the outcome of a finished block. Default: ignored.
-    fn record(&self, _feedback: &BlockFeedback) {}
-
-    /// Whether [`Planner::plan`] inspects the block data (adaptive) or is a
-    /// pure function of the configuration (static). The compressor uses
-    /// this to skip the feedback machinery for static plans.
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-}
-
-/// Builds the planner a configuration asks for.
-pub fn planner_for(config: &CompressorConfig) -> Box<dyn Planner> {
-    match config.planning {
-        PlanningMode::Static => Box::new(StaticPlanner::new(config.base_plan())),
-        PlanningMode::Adaptive => Box::new(AdaptivePlanner::new(config)),
-    }
-}
-
-/// Stamps one fixed plan onto every block (pre-v3 behaviour).
-#[derive(Debug, Clone)]
-pub struct StaticPlanner {
-    plan: BlockPlan,
-}
-
-impl StaticPlanner {
-    /// Creates a planner that always returns `plan`.
-    pub fn new(plan: BlockPlan) -> Self {
-        Self { plan }
-    }
-}
-
-impl Planner for StaticPlanner {
-    fn plan(&self, _block_index: u64, _data: &[u8]) -> BlockPlan {
-        self.plan
-    }
-}
 
 /// Bytes of each block the adaptive planner samples. Large enough that the
 /// entropy estimate and the match probe are stable, small enough that
@@ -101,9 +38,6 @@ const PROBE_LEN: usize = 8 * 1024;
 /// the Huffman stage. Text sits near 4–5, compressed/encrypted data near 8.
 const HIGH_ENTROPY_BITS: f64 = 7.6;
 
-/// Entropy above which feedback may tip a borderline block to byte coding.
-const BORDERLINE_ENTROPY_BITS: f64 = 7.0;
-
 /// Probe match density (matched bytes / probed bytes) below which the LZ77
 /// stage found essentially nothing to reference.
 const LOW_MATCH_DENSITY: f64 = 0.05;
@@ -111,48 +45,6 @@ const LOW_MATCH_DENSITY: f64 = 0.05;
 /// Probe dependency rate (same-warp dependent back-references / total
 /// back-references) below which enforcing DE costs essentially no ratio.
 const LOW_DEPENDENCY_RATE: f64 = 0.05;
-
-/// EMA smoothing factor for the per-mode feedback state.
-const EMA_ALPHA: f64 = 0.3;
-
-/// Exponentially smoothed per-mode outcome statistics.
-#[derive(Debug, Clone, Copy, Default)]
-struct ModeEma {
-    /// Smoothed compression ratio (uncompressed / compressed).
-    ratio: f64,
-    /// Smoothed compression throughput (uncompressed MiB per second).
-    mib_per_s: f64,
-    /// Number of blocks folded in.
-    samples: u64,
-}
-
-impl ModeEma {
-    fn update(&mut self, feedback: &BlockFeedback) {
-        if feedback.compressed_len == 0 || feedback.uncompressed_len == 0 {
-            return;
-        }
-        let ratio = feedback.uncompressed_len as f64 / feedback.compressed_len as f64;
-        let mib_per_s = if feedback.seconds > 0.0 {
-            feedback.uncompressed_len as f64 / (1024.0 * 1024.0) / feedback.seconds
-        } else {
-            self.mib_per_s
-        };
-        if self.samples == 0 {
-            self.ratio = ratio;
-            self.mib_per_s = mib_per_s;
-        } else {
-            self.ratio += EMA_ALPHA * (ratio - self.ratio);
-            self.mib_per_s += EMA_ALPHA * (mib_per_s - self.mib_per_s);
-        }
-        self.samples += 1;
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct AdaptiveState {
-    bit: ModeEma,
-    byte: ModeEma,
-}
 
 /// What the content probe measured in a block's sampled prefix.
 #[derive(Debug, Clone, Copy)]
@@ -168,183 +60,180 @@ struct ProbeResult {
 
 thread_local! {
     /// Per-thread probe scratch so planning allocates nothing in steady
-    /// state (the planner may be called from the reader thread of the
-    /// streaming pipeline or from the compressor's planning loop).
+    /// state on the compression workers.
     static PROBE_SCRATCH: RefCell<(SequenceBlock, MatcherScratch)> =
         RefCell::new((SequenceBlock::new(), MatcherScratch::new()));
 }
 
-/// Plans each block from a content probe plus smoothed feedback.
-pub struct AdaptivePlanner {
-    settings: FileSettings,
-    base: BlockPlan,
-    /// Matcher used on probe samples: the base plan's tuning with DE
-    /// disabled, so the probe sees the unconstrained dependency structure.
-    probe_matcher: Matcher,
-    state: Mutex<AdaptiveState>,
-}
-
-impl AdaptivePlanner {
-    /// Creates an adaptive planner for `config` (which must validate).
-    pub fn new(config: &CompressorConfig) -> Self {
-        let settings = config.file_settings();
-        // Sanitize the entropy parameters so every emitted plan validates
-        // even when the base config is a Byte preset with CWL 0.
-        let base = BlockPlan {
-            max_codeword_len: if (2..=16).contains(&config.max_codeword_len) {
-                config.max_codeword_len
-            } else {
-                10
-            },
-            ..config.base_plan()
-        };
-        let probe_plan = BlockPlan { dependency_elimination: false, ..base };
-        let probe_matcher = Matcher::new(probe_plan.matcher_config(&settings));
-        Self { settings, base, probe_matcher, state: Mutex::new(AdaptiveState::default()) }
+/// Plans the block holding `data` under `config`, which must validate: the
+/// configured plan under static planning, or under adaptive planning the
+/// same plan with the mode and DE flag a probe of the block's first 8 KiB
+/// picks.
+pub fn plan_block(config: &CompressorConfig, data: &[u8]) -> BlockPlan {
+    let base = config.base_plan();
+    if config.planning == PlanningMode::Static {
+        return base;
     }
-
-    fn probe(&self, data: &[u8]) -> ProbeResult {
-        let sample = &data[..data.len().min(PROBE_LEN)];
-        if sample.is_empty() {
-            return ProbeResult { entropy_bits: 0.0, match_density: 0.0, dependency_rate: 0.0 };
-        }
-
-        let mut histogram = [0u64; 256];
-        for &byte in sample {
-            histogram[byte as usize] += 1;
-        }
-        let n = sample.len() as f64;
-        let entropy_bits = histogram
-            .iter()
-            .filter(|&&count| count > 0)
-            .map(|&count| {
-                let p = count as f64 / n;
-                -p * p.log2()
-            })
-            .sum();
-
-        PROBE_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let (seq_block, matcher_scratch) = &mut *scratch;
-            self.probe_matcher.compress_into(sample, seq_block, matcher_scratch);
-            let match_density = seq_block.match_len() as f64 / n;
-            let deps = analysis::dependency_stats(seq_block, GROUP_SIZE);
-            let dependency_rate =
-                if deps.total_refs == 0 { 0.0 } else { deps.dependent_refs as f64 / deps.total_refs as f64 };
-            ProbeResult { entropy_bits, match_density, dependency_rate }
-        })
-    }
-
-    /// Picks the encoding mode from the probe and the feedback state. Byte
-    /// coding is only ever chosen when the window fits its 16-bit offsets.
-    fn choose_mode(&self, probe: &ProbeResult, state: &AdaptiveState) -> EncodingMode {
-        if self.settings.window_size > 64 * 1024 {
-            return EncodingMode::Bit;
-        }
-        let sparse = probe.match_density < LOW_MATCH_DENSITY;
-        if probe.entropy_bits >= HIGH_ENTROPY_BITS && sparse {
-            // Near-uniform bytes with nothing to reference: Huffman cannot
-            // shorten the literals, so skip straight to byte coding (same
-            // stored size, much cheaper to decode).
-            return EncodingMode::Byte;
-        }
-        if probe.entropy_bits >= BORDERLINE_ENTROPY_BITS && sparse {
-            // Borderline: trust the smoothed feedback. If byte blocks have
-            // been compressing within 2% of bit blocks on this file, the
-            // faster decode wins the tie.
-            if state.bit.samples > 0 && state.byte.samples > 0 && state.byte.ratio >= state.bit.ratio * 0.98 {
-                return EncodingMode::Byte;
-            }
-        }
+    let probe = probe(config, data);
+    // Near-uniform bytes with nothing to reference: Huffman cannot shorten
+    // the literals, so byte coding stores the same size and decodes cheaper.
+    let incompressible = probe.entropy_bits >= HIGH_ENTROPY_BITS && probe.match_density < LOW_MATCH_DENSITY;
+    let mode = if incompressible && config.window_size <= 64 * 1024 {
+        EncodingMode::Byte
+    } else {
         EncodingMode::Bit
-    }
+    };
+    // DE is free exactly when the data's back-references barely nest within
+    // warp groups; otherwise keep MRR and the full match search.
+    let dependency_elimination = probe.dependency_rate <= LOW_DEPENDENCY_RATE;
+    BlockPlan { mode, dependency_elimination, ..base }
 }
 
-impl Planner for AdaptivePlanner {
-    fn plan(&self, _block_index: u64, data: &[u8]) -> BlockPlan {
-        let probe = self.probe(data);
-        let state = *self.state.lock().expect("planner state lock");
-        let mode = self.choose_mode(&probe, &state);
-        // DE is free exactly when the data's back-references barely nest
-        // within warp groups; otherwise keep MRR and the full match search.
-        let dependency_elimination = probe.dependency_rate <= LOW_DEPENDENCY_RATE;
-        BlockPlan { mode, dependency_elimination, ..self.base }
+/// Measures the first [`PROBE_LEN`] bytes of `data`: byte entropy, plus an
+/// LZ77 pass under the base plan's tuning with DE off, so the probe sees the
+/// unconstrained dependency structure.
+fn probe(config: &CompressorConfig, data: &[u8]) -> ProbeResult {
+    let sample = &data[..data.len().min(PROBE_LEN)];
+    if sample.is_empty() {
+        return ProbeResult { entropy_bits: 0.0, match_density: 0.0, dependency_rate: 0.0 };
     }
 
-    fn record(&self, feedback: &BlockFeedback) {
-        let mut state = self.state.lock().expect("planner state lock");
-        match feedback.mode {
-            EncodingMode::Bit => state.bit.update(feedback),
-            EncodingMode::Byte => state.byte.update(feedback),
-        }
+    let mut histogram = [0u64; 256];
+    for &byte in sample {
+        histogram[byte as usize] += 1;
     }
+    let n = sample.len() as f64;
+    let entropy_bits = histogram
+        .iter()
+        .filter(|&&count| count > 0)
+        .map(|&count| {
+            let p = count as f64 / n;
+            -p * p.log2()
+        })
+        .sum();
 
-    fn is_adaptive(&self) -> bool {
-        true
-    }
+    let probe_plan = BlockPlan { dependency_elimination: false, ..config.base_plan() };
+    let matcher = Matcher::new(probe_plan.matcher_config(&config.file_settings()));
+    PROBE_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let (seq_block, matcher_scratch) = &mut *scratch;
+        matcher.compress_into(sample, seq_block, matcher_scratch);
+        let match_density = seq_block.match_len() as f64 / n;
+        let deps = analysis::dependency_stats(seq_block, GROUP_SIZE);
+        let dependency_rate =
+            if deps.total_refs == 0 { 0.0 } else { deps.dependent_refs as f64 / deps.total_refs as f64 };
+        ProbeResult { entropy_bits, match_density, dependency_rate }
+    })
 }
 
-impl std::fmt::Debug for AdaptivePlanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptivePlanner").field("settings", &self.settings).field("base", &self.base).finish()
+// The planner interface the benchmark's stage replay (`benchmark/`) still
+// calls. Nothing in the workspace uses it; it goes when the replay does.
+
+/// Outcome of a finished block, as the benchmark replay reports it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct BlockFeedback {
+    /// Index of the finished block.
+    pub block_index: u64,
+    /// Encoding mode the block was compressed with.
+    pub mode: EncodingMode,
+    /// Uncompressed bytes in the block.
+    pub uncompressed_len: usize,
+    /// Compressed payload bytes the block produced.
+    pub compressed_len: usize,
+    /// Wall-clock seconds the block's compression took.
+    pub seconds: f64,
+}
+
+/// [`plan_block`] bound to one configuration.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ReplayPlanner(CompressorConfig);
+
+/// The [`ReplayPlanner`] for `config`, which must validate.
+#[doc(hidden)]
+pub fn planner_for(config: &CompressorConfig) -> ReplayPlanner {
+    ReplayPlanner(config.clone())
+}
+
+impl ReplayPlanner {
+    /// [`plan_block`] on `data`; the block index is ignored.
+    pub fn plan(&self, _block_index: u64, data: &[u8]) -> BlockPlan {
+        plan_block(&self.0, data)
+    }
+
+    /// Does nothing: plans never depend on other blocks.
+    pub fn record(&self, _feedback: &BlockFeedback) {}
+
+    /// Whether the configuration plans each block from its bytes.
+    pub fn is_adaptive(&self) -> bool {
+        self.0.planning == PlanningMode::Adaptive
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CompressorConfig;
 
     fn text(len: usize) -> Vec<u8> {
         b"the quick brown fox jumps over the lazy dog. ".iter().copied().cycle().take(len).collect()
     }
 
-    fn noise(len: usize) -> Vec<u8> {
-        // xorshift64: high-entropy and free of repeated n-grams, so the
-        // LZ77 probe finds essentially nothing to reference.
+    /// xorshift64 bytes reduced mod `modulus`. At 256 they are
+    /// high-entropy and free of repeated n-grams, so the LZ77 probe finds
+    /// essentially nothing to reference.
+    fn xorshift(len: usize, modulus: u64) -> Vec<u8> {
         let mut x = 0x243F_6A88_85A3_08D3u64;
         (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                (x >> 24) as u8
+                ((x >> 24) % modulus) as u8
             })
             .collect()
     }
 
+    fn noise(len: usize) -> Vec<u8> {
+        xorshift(len, 256)
+    }
+
     #[test]
     fn static_planner_is_constant_and_not_adaptive() {
-        let cfg = CompressorConfig::bit_de();
-        let planner = planner_for(&cfg);
-        assert!(!planner.is_adaptive());
-        let a = planner.plan(0, &text(1000));
-        let b = planner.plan(7, &noise(1000));
-        assert_eq!(a, b);
-        assert_eq!(a, cfg.base_plan());
+        for cfg in [
+            CompressorConfig::bit(),
+            CompressorConfig::byte(),
+            CompressorConfig::bit_de(),
+            CompressorConfig::byte_de(),
+        ] {
+            assert_eq!(plan_block(&cfg, &text(32 * 1024)), cfg.base_plan());
+            assert_eq!(plan_block(&cfg, &noise(32 * 1024)), cfg.base_plan());
+        }
     }
 
     #[test]
     fn adaptive_picks_bit_for_text_and_byte_for_noise() {
-        let planner = AdaptivePlanner::new(&CompressorConfig::auto());
-        assert!(planner.is_adaptive());
-        let text_plan = planner.plan(0, &text(32 * 1024));
+        let auto = CompressorConfig::auto();
+        let text_plan = plan_block(&auto, &text(32 * 1024));
         assert_eq!(text_plan.mode, EncodingMode::Bit);
-        let noise_plan = planner.plan(1, &noise(32 * 1024));
+        let noise_plan = plan_block(&auto, &noise(32 * 1024));
         assert_eq!(noise_plan.mode, EncodingMode::Byte);
         // Every emitted plan's container record validates.
         text_plan.block_config().validate().unwrap();
         noise_plan.block_config().validate().unwrap();
+        // Byte blocks store 16-bit offsets, so a wider window keeps Huffman.
+        let wide = CompressorConfig { window_size: 128 * 1024, ..CompressorConfig::auto() };
+        assert_eq!(plan_block(&wide, &noise(32 * 1024)).mode, EncodingMode::Bit);
     }
 
     #[test]
     fn adaptive_enables_de_only_when_dependencies_are_rare() {
-        let planner = AdaptivePlanner::new(&CompressorConfig::auto());
+        let auto = CompressorConfig::auto();
         // Noise has no back-references at all -> DE is free.
-        assert!(planner.plan(0, &noise(16 * 1024)).dependency_elimination);
+        assert!(plan_block(&auto, &noise(16 * 1024)).dependency_elimination);
         // Tight short-period repetition nests heavily within warp groups.
         let nested: Vec<u8> = b"abcd".iter().copied().cycle().take(16 * 1024).collect();
-        let nested_plan = planner.plan(1, &nested);
+        let nested_plan = plan_block(&auto, &nested);
         assert!(
             !nested_plan.dependency_elimination,
             "heavily nested data should keep MRR, got {nested_plan:?}"
@@ -353,64 +242,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sanitizes_byte_base_cwl() {
-        let mut cfg = CompressorConfig::byte();
-        cfg.max_codeword_len = 0;
-        cfg.planning = PlanningMode::Adaptive;
-        // The config itself fails validation (compressors reject it), but
-        // the planner must still emit valid plans if constructed directly.
-        let planner = AdaptivePlanner::new(&cfg);
-        let plan = planner.plan(0, &text(8192));
-        plan.block_config().validate().unwrap();
-        assert!((2..=16).contains(&plan.max_codeword_len));
-    }
-
-    #[test]
-    fn feedback_tips_borderline_blocks_to_byte() {
-        let planner = AdaptivePlanner::new(&CompressorConfig::auto());
-        // Construct a borderline sample: high entropy but not extreme.
-        // Mix noise with a few repeated runs so entropy lands in the
-        // borderline band with a sparse match structure.
-        let mut sample = noise(8 * 1024);
-        for chunk in sample.chunks_mut(256) {
-            chunk[..8].copy_from_slice(&[0x41; 8]);
-        }
-        let before = planner.plan(0, &sample);
-        // Feed strong evidence that byte blocks compress as well as bit
-        // blocks on this file.
-        for i in 0..8 {
-            planner.record(&BlockFeedback {
-                block_index: i,
-                mode: EncodingMode::Bit,
-                uncompressed_len: 1 << 16,
-                compressed_len: 1 << 16,
-                seconds: 0.01,
-            });
-            planner.record(&BlockFeedback {
-                block_index: i,
-                mode: EncodingMode::Byte,
-                uncompressed_len: 1 << 16,
-                compressed_len: (1 << 16) - 1024,
-                seconds: 0.005,
-            });
-        }
-        let after = planner.plan(1, &sample);
-        // Regardless of where the sample's entropy landed, the decision must
-        // be monotone: feedback favouring byte can only move Bit -> Byte.
-        if before.mode == EncodingMode::Byte {
-            assert_eq!(after.mode, EncodingMode::Byte);
-        }
-        // And the EMA state really absorbed the feedback.
-        let state = planner.state.lock().unwrap();
-        assert_eq!(state.bit.samples, 8);
-        assert_eq!(state.byte.samples, 8);
-        assert!(state.byte.ratio > state.bit.ratio);
+    fn borderline_blocks_keep_huffman() {
+        // 160 equally likely byte values: about 7.3 bits/byte, below the
+        // byte-coding threshold, and random enough that the probe finds
+        // almost nothing to reference. Such a block is planned from its own
+        // probe, whatever other blocks of the file did.
+        let auto = CompressorConfig::auto();
+        let block = xorshift(32 * 1024, 160);
+        let probe = probe(&auto, &block);
+        assert!((7.0..7.6).contains(&probe.entropy_bits), "entropy {}", probe.entropy_bits);
+        assert!(probe.match_density < LOW_MATCH_DENSITY, "density {}", probe.match_density);
+        assert_eq!(plan_block(&auto, &block).mode, EncodingMode::Bit);
     }
 
     #[test]
     fn empty_block_gets_a_valid_plan() {
-        let planner = AdaptivePlanner::new(&CompressorConfig::auto());
-        let plan = planner.plan(0, &[]);
-        plan.block_config().validate().unwrap();
+        plan_block(&CompressorConfig::auto(), &[]).block_config().validate().unwrap();
     }
 }

@@ -557,7 +557,7 @@ impl crate::stream::StreamDecompressor {
         Ok(report)
     }
 
-    /// In-memory core of [`StreamDecompressor::salvage`].
+    /// In-memory core of [`StreamDecompressor::salvage`](Self::salvage).
     pub fn salvage_bytes(&self, bytes: &[u8]) -> Result<(Vec<u8>, RecoveryReport)> {
         let ((prelude, head_intact), frames_at) =
             read_prelude(&mut &bytes[..], StreamPrelude::deserialize_lenient)?;

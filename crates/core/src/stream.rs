@@ -1,6 +1,6 @@
 //! Bounded-memory streaming compression and decompression.
 //!
-//! The in-memory [`crate::compress`]/[`crate::decompress`] APIs require the
+//! The in-memory [`crate::compress()`]/[`crate::decompress()`] APIs require the
 //! whole input *and* output resident at once. The paper's file layout
 //! (Figure 3: self-describing header, back-to-back independent blocks)
 //! exists precisely so blocks can be processed without buffering the whole
@@ -13,19 +13,19 @@
 //!   in-flight bound of blocks are read but not yet written, it reads the
 //!   next block into a recycled buffer and queues it for the workers; it
 //!   writes finished blocks as soon as they are next in block order; when
-//!   it can do neither, it waits for a worker. On the compression side,
-//!   reading a block includes running the [`crate::planner`] on it, so
-//!   adaptive planning sees blocks in the same sequence as the in-memory
-//!   compressor. A block's buffers recycle only once the block has been
-//!   written, which is what makes the bound hold even when one slow block
-//!   stalls the in-order frontier;
+//!   it can do neither, it waits for a worker. A block's buffers recycle
+//!   only once the block has been written, which is what makes the bound
+//!   hold even when one slow block stalls the in-order frontier;
 //! * **workers** compress or decompress blocks independently, as jobs on
-//!   the process-wide rayon pool ([`rayon::scope`]). They reuse the same
-//!   per-worker scratch thread-locals (`SequenceBlock` + `MatcherScratch` +
-//!   `EncodeScratch` on the way in, the decode `SequenceBlock` on the way
-//!   out) as the in-memory hot paths, so both paths produce byte-identical
-//!   block payloads for the same plan. Pool threads outlive the run: the
-//!   next run (the next daemon job, say) finds their scratch already grown.
+//!   the process-wide rayon pool ([`rayon::scope`]). On the way in they run
+//!   the in-memory compressor's per-block function, which plans the block
+//!   from its own bytes, so a streamed archive's blocks are byte-identical
+//!   to the in-memory ones at any worker count. Both directions reuse the
+//!   same per-worker scratch thread-locals (`SequenceBlock` +
+//!   `MatcherScratch` + `EncodeScratch` on the way in, the decode
+//!   `SequenceBlock` on the way out) as the in-memory hot paths. Pool
+//!   threads outlive the run: the next run (the next daemon job, say) finds
+//!   their scratch already grown.
 //!
 //! **Failure rule.** The first failure stops reading and writing. Blocks
 //! already queued (at most the in-flight bound) still finish, and the error
@@ -51,13 +51,6 @@
 //! (uniform codec config in the prelude, configless frames) still decode;
 //! the reader synthesizes the v2 per-block config from the prelude.
 //!
-//! Note on adaptive planning: with [`crate::PlanningMode::Adaptive`] the
-//! planner's ratio feedback arrives in worker-completion order here (the
-//! in-memory path feeds it back in block order), so a streamed adaptive
-//! archive may differ from — while decompressing identically to — the
-//! in-memory adaptive archive of the same input. Static configurations
-//! produce byte-identical payloads on both paths.
-//!
 //! Memory budget math (see `DESIGN.md` §4): a block in flight costs at most
 //! one input buffer (`block_size`) plus one output buffer (≤ `block_size`
 //! for decompression, ≤ `block_size` + framing slack for compression) plus
@@ -69,16 +62,13 @@ use crate::compress::{compress_block_with_scratch, COMPRESS_SCRATCH};
 use crate::config::CompressorConfig;
 use crate::decompress::{admit_block, decompress_block_checked, DecompressorConfig, Slot};
 use crate::error::invalid_field;
-use crate::planner::{planner_for, BlockFeedback};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::{ByteReader, ByteWriter};
 use gompresso_format::stream_frame::{
     prelude_len, write_frame_head, StreamPrelude, StreamTrailer, PRELUDE_HEAD_LEN, PRELUDE_LEN,
     STREAM_FORMAT_VERSION, UNCOMPRESSED_SIZE_OFFSET,
 };
-use gompresso_format::{
-    content_checksum, token_code::TokenCoder, BlockConfig, FormatError, MAGIC, MAX_BLOCK_COUNT,
-};
+use gompresso_format::{token_code::TokenCoder, BlockConfig, FormatError, MAGIC, MAX_BLOCK_COUNT};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -258,14 +248,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// Per-frame metadata the compression writer emits in front of each
-/// payload: the plan's container record plus the content checksum of the
-/// block's uncompressed bytes.
-struct FrameMeta {
-    config: BlockConfig,
-    checksum: u64,
 }
 
 /// What the decompression reader learns from a frame head, travelling with
@@ -472,8 +454,6 @@ impl StreamCompressor {
         let cfg = &self.config;
         let block_size = cfg.block_size;
         let settings = cfg.file_settings();
-        let planner = planner_for(cfg);
-        let planner = planner.as_ref();
         let coder =
             TokenCoder::new(cfg.min_match_len as u32, cfg.max_match_len as u32, cfg.window_size as u32)?;
         let workers = effective_workers(self.workers);
@@ -490,9 +470,7 @@ impl StreamCompressor {
             workers,
             in_flight,
             "compress worker",
-            // Read block-sized chunks and plan each block in block order, so
-            // the adaptive planner sees blocks in the same sequence as the
-            // in-memory compressor.
+            // Read block-sized chunks.
             |idx, buf| {
                 buf.resize(block_size, 0);
                 let n = read_full(&mut reader, buf)?;
@@ -504,33 +482,27 @@ impl StreamCompressor {
                 if idx >= MAX_BLOCK_COUNT {
                     return Err(invalid_field("block_count", idx + 1));
                 }
-                Ok(Some(planner.plan(idx, buf)))
+                Ok(Some(()))
             },
-            |idx, buf, plan, out| {
-                let block_start = Instant::now();
-                let (payload, _summary) = COMPRESS_SCRATCH
+            // Plan, match, entropy-code and checksum each block exactly as
+            // the in-memory compressor does.
+            |idx, buf, (), out| {
+                let block = COMPRESS_SCRATCH
                     .with(|scratch| {
-                        compress_block_with_scratch(buf, &settings, &plan, &coder, &mut scratch.borrow_mut())
+                        compress_block_with_scratch(buf, cfg, &settings, &coder, &mut scratch.borrow_mut())
                     })
                     .map_err(|e| e.in_block(idx, None))?;
-                planner.record(&BlockFeedback {
-                    block_index: idx,
-                    mode: plan.mode,
-                    uncompressed_len: buf.len(),
-                    compressed_len: payload.bytes.len(),
-                    seconds: block_start.elapsed().as_secs_f64(),
-                });
-                *out = payload.bytes;
-                Ok(FrameMeta { config: plan.block_config(), checksum: content_checksum(buf) })
+                *out = block.payload.bytes;
+                Ok((block.config, block.checksum))
             },
             // Emit the frame head (payload length, the block's config
             // record, the content checksum of its uncompressed bytes), then
             // the payload.
-            |meta, payload| {
+            |(config, checksum), payload| {
                 let len = u32::try_from(payload.len())
                     .map_err(|_| invalid_field("block_compressed_size", payload.len() as u64))?;
                 let mut head = ByteWriter::new();
-                write_frame_head(&mut head, len, &meta.config, meta.checksum);
+                write_frame_head(&mut head, len, &config, checksum);
                 writer.write_all(head.as_slice())?;
                 writer.write_all(payload)?;
                 container_bytes += (head.len() + payload.len()) as u64;
@@ -753,7 +725,7 @@ mod tests {
     use crate::decompress::decompress;
     use gompresso_bitstream::ByteWriter;
     use gompresso_format::stream_frame::{LEGACY_STREAM_FORMAT_VERSION, TRAILER_MAGIC, UNKNOWN_TOTAL};
-    use gompresso_format::{CompressedFile, EncodingMode, BLOCK_CONFIG_LEN};
+    use gompresso_format::{content_checksum, CompressedFile, EncodingMode, BLOCK_CONFIG_LEN};
     use std::io::Cursor;
 
     /// Byte-for-byte the checksum-less trailer layout v2/v3 streams carry.
@@ -870,39 +842,77 @@ mod tests {
         assert_eq!(restored, data);
     }
 
+    /// 16 blocks of 32 KiB on which planning from other blocks' outcomes
+    /// would change plans: blocks 0 and 2 open with 8 KiB of noise (probed
+    /// as incompressible, so coded Byte) and continue with 24 KiB of one
+    /// repeated sentence, so they compress far better than their probe
+    /// predicts; the other 14 are xorshift64 bytes mod 160, which probe at
+    /// about 7.3 bits/byte with sparse matches.
+    fn borderline(block_size: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> 24
+        };
+        let sentence = b"a block planned from its own bytes compresses the same everywhere. ";
+        let mut data = Vec::with_capacity(16 * block_size);
+        for block in 0..16 {
+            if block == 0 || block == 2 {
+                data.extend((0..8 * 1024).map(|_| next() as u8));
+                data.extend(sentence.iter().copied().cycle().take(block_size - 8 * 1024));
+            } else {
+                data.extend((0..block_size).map(|_| (next() % 160) as u8));
+            }
+        }
+        data
+    }
+
     #[test]
     fn streamed_blocks_are_byte_identical_to_in_memory_compression() {
-        let data = wiki_like(150_000);
-        let cfg = small(CompressorConfig::bit_de());
-        let mut compressed = Vec::new();
-        StreamCompressor::new(cfg.clone()).unwrap().compress(data.as_slice(), &mut compressed).unwrap();
-        let reference = compress(&data, &cfg).unwrap();
+        for cfg in [small(CompressorConfig::bit_de()), small(CompressorConfig::auto())] {
+            for data in [wiki_like(150_000), borderline(cfg.block_size)] {
+                let reference = compress(&data, &cfg).unwrap();
+                let chunks: Vec<&[u8]> = data.chunks(cfg.block_size).collect();
+                for workers in [1, 2, 4] {
+                    for run in 0..3 {
+                        let ctx = format!("{:?} workers {workers} run {run}", cfg.planning);
+                        let mut compressed = Vec::new();
+                        StreamCompressor::new(cfg.clone())
+                            .unwrap()
+                            .with_workers(workers)
+                            .compress(data.as_slice(), &mut compressed)
+                            .unwrap();
 
-        // Walk the frames and compare each payload (and config record) to
-        // the in-memory block.
-        let mut r = compressed.as_slice();
-        let mut prelude = [0u8; PRELUDE_LEN];
-        r.read_exact(&mut prelude).unwrap();
-        let chunks: Vec<&[u8]> = data.chunks(cfg.block_size).collect();
-        for (i, expected) in reference.file.blocks.iter().enumerate() {
-            let len = read_varint_io(&mut r).unwrap() as usize;
-            let mut config_bytes = [0u8; BLOCK_CONFIG_LEN];
-            r.read_exact(&mut config_bytes).unwrap();
-            let config =
-                BlockConfig::deserialize(&mut gompresso_bitstream::ByteReader::new(&config_bytes)).unwrap();
-            assert_eq!(&config, reference.file.header.block_config(i), "config of block {i}");
-            let mut sum = [0u8; 8];
-            r.read_exact(&mut sum).unwrap();
-            assert_eq!(
-                u64::from_le_bytes(sum),
-                content_checksum(chunks[i]),
-                "frame checksum of block {i} must hash the uncompressed chunk"
-            );
-            let mut payload = vec![0u8; len];
-            r.read_exact(&mut payload).unwrap();
-            assert_eq!(payload, expected.bytes, "block {i} differs from the in-memory path");
+                        // Walk the frames and compare each payload (and
+                        // config record) to the in-memory block.
+                        let mut r = compressed.as_slice();
+                        let mut prelude = [0u8; PRELUDE_LEN];
+                        r.read_exact(&mut prelude).unwrap();
+                        for (i, expected) in reference.file.blocks.iter().enumerate() {
+                            let len = read_varint_io(&mut r).unwrap() as usize;
+                            let mut config_bytes = [0u8; BLOCK_CONFIG_LEN];
+                            r.read_exact(&mut config_bytes).unwrap();
+                            let config =
+                                BlockConfig::deserialize(&mut ByteReader::new(&config_bytes)).unwrap();
+                            assert_eq!(&config, reference.file.header.block_config(i), "block {i}, {ctx}");
+                            let mut sum = [0u8; 8];
+                            r.read_exact(&mut sum).unwrap();
+                            assert_eq!(
+                                u64::from_le_bytes(sum),
+                                content_checksum(chunks[i]),
+                                "frame checksum of block {i} must hash the uncompressed chunk, {ctx}"
+                            );
+                            let mut payload = vec![0u8; len];
+                            r.read_exact(&mut payload).unwrap();
+                            assert_eq!(payload, expected.bytes, "block {i} differs from in memory, {ctx}");
+                        }
+                        assert_eq!(read_varint_io(&mut r).unwrap(), 0, "terminator after the last block");
+                    }
+                }
+            }
         }
-        assert_eq!(read_varint_io(&mut r).unwrap(), 0, "terminator after the last block");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   (literal/length alphabet, offset alphabet, extra bits),
 //! * [`bit_block`] — Huffman-coded block payloads with sub-block seeking,
 //! * [`byte_block`] — the byte-level (Gompresso/Byte) block payload,
-//! * [`file`] — the top-level container tying header and payloads together,
+//! * [`file`](mod@file) — the top-level container tying header and payloads together,
 //! * [`stream_frame`] — the incremental container framing used by the
 //!   bounded-memory streaming pipeline in `gompresso-core::stream`,
 //! * [`block_index`] — the random-access seek structure built from either

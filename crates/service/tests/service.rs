@@ -89,34 +89,67 @@ fn raw_expect_err(stream: &mut TcpStream) -> ErrCode {
     }
 }
 
+/// 16 blocks of 32 KiB that exercise adaptive planning: blocks 0 and 2
+/// open with 8 KiB of noise and continue with one repeated sentence; the
+/// other 14 are xorshift64 bytes mod 160, which probe at about 7.3
+/// bits/byte with sparse matches.
+fn borderline() -> Vec<u8> {
+    let block_size = 32 * 1024;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x >> 24
+    };
+    let sentence = b"a block planned from its own bytes compresses the same everywhere. ";
+    let mut data = Vec::with_capacity(16 * block_size);
+    for block in 0..16 {
+        if block == 0 || block == 2 {
+            data.extend((0..8 * 1024).map(|_| next() as u8));
+            data.extend(sentence.iter().copied().cycle().take(block_size - 8 * 1024));
+        } else {
+            data.extend((0..block_size).map(|_| (next() % 160) as u8));
+        }
+    }
+    data
+}
+
 #[test]
 fn wire_roundtrip_matches_library_and_counts_jobs() {
     let (handle, join) = start_server(ServerConfig::default());
-    let data = corpus(1, 150_000);
-    let reference = library_container(&data);
-
     let mut client = connect_client(&handle);
-    let mut compressed = Vec::new();
-    let summary = client.compress(wire_params(), data.as_slice(), &mut compressed).unwrap();
-    assert_eq!(compressed, reference, "daemon container must be byte-identical to the library path");
-    assert_eq!(summary.uncompressed, data.len() as u64);
-    assert_eq!(summary.compressed, reference.len() as u64);
 
-    let mut restored = Vec::new();
-    let summary = client.decompress(compressed.as_slice(), &mut restored).unwrap();
-    assert_eq!(restored, data);
-    assert_eq!(summary.uncompressed, data.len() as u64);
+    // A Bit + DE job, then an `auto` job (wire mode 2), whose per-block
+    // plans must not depend on the daemon's worker count.
+    let auto = CompressorConfig { block_size: 32 * 1024, ..CompressorConfig::auto() };
+    let auto_params = CompressParams { mode: 2, de: false, block_size: 32 * 1024 };
+    let jobs = [(corpus(1, 150_000), wire_params(), library_config()), (borderline(), auto_params, auto)];
+    for (input, params, config) in &jobs {
+        let mut reference = Vec::new();
+        StreamCompressor::new(config.clone()).unwrap().compress(input.as_slice(), &mut reference).unwrap();
+        let mut compressed = Vec::new();
+        let summary = client.compress(*params, input.as_slice(), &mut compressed).unwrap();
+        assert_eq!(compressed, reference, "{params:?}: daemon container must equal the library path's");
+        assert_eq!(summary.uncompressed, input.len() as u64);
+        assert_eq!(summary.compressed, reference.len() as u64);
 
-    let summary = client.verify(compressed.as_slice()).unwrap();
-    assert_eq!(summary.blocks, (data.len() as u64).div_ceil(32 * 1024));
+        let mut restored = Vec::new();
+        let summary = client.decompress(compressed.as_slice(), &mut restored).unwrap();
+        assert_eq!(&restored, input);
+        assert_eq!(summary.uncompressed, input.len() as u64);
+
+        let summary = client.verify(compressed.as_slice()).unwrap();
+        assert_eq!(summary.blocks, (input.len() as u64).div_ceil(32 * 1024));
+    }
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.jobs_compress, 1);
-    assert_eq!(stats.jobs_decompress, 1);
-    assert_eq!(stats.jobs_verify, 1);
+    assert_eq!(stats.jobs_compress, 2);
+    assert_eq!(stats.jobs_decompress, 2);
+    assert_eq!(stats.jobs_verify, 2);
     assert_eq!(stats.sessions_active, 1, "only this client's session is live");
     assert_eq!(stats.panics_caught, 0);
-    assert!(stats.bytes_in >= data.len() as u64);
+    assert!(stats.bytes_in >= jobs.iter().map(|(input, ..)| input.len() as u64).sum::<u64>());
 
     drop(client);
     handle.shutdown();

@@ -23,14 +23,14 @@
 #![warn(missing_docs)]
 
 pub use gompresso_core::{
-    compress, compress_file, decompress, decompress_file, decompress_salvage, decompress_with, planner_for,
-    salvage_file, scan_count_lines, scan_filter_count, scan_filter_map, scan_lines, AdaptivePlanner,
-    ArchiveFormat, ArchiveReader, BlockConfig, BlockEntry, BlockFeedback, BlockIndex, BlockPlan, BlockRecord,
-    BlockStatus, CompressedFile, CompressedOutput, CompressionStats, Compressor, CompressorConfig, CostModel,
-    DecompressionReport, Decompressor, DecompressorConfig, EncodingMode, FaultPlan, FaultReader, FaultWriter,
-    FileSettings, GompressoError, GpuDeviceModel, GpuEstimate, MrrStats, PcieLink, Planner, PlanningMode,
-    RecoveryReport, ResolutionStrategy, ScanOptions, ScanStats, SimulationReport, StaticPlanner,
-    StrategySelection, StreamCompressor, StreamDecompressor, StreamStats,
+    compress, compress_file, decompress, decompress_file, decompress_salvage, decompress_with, plan_block,
+    salvage_file, scan_count_lines, scan_filter_count, scan_filter_map, scan_lines, ArchiveFormat,
+    ArchiveReader, BlockConfig, BlockEntry, BlockIndex, BlockPlan, BlockRecord, BlockStatus, CompressedFile,
+    CompressedOutput, CompressionStats, Compressor, CompressorConfig, CostModel, DecompressionReport,
+    Decompressor, DecompressorConfig, EncodingMode, FaultPlan, FaultReader, FaultWriter, FileSettings,
+    GompressoError, GpuDeviceModel, GpuEstimate, MrrStats, PcieLink, PlanningMode, RecoveryReport,
+    ResolutionStrategy, ScanOptions, ScanStats, SimulationReport, StrategySelection, StreamCompressor,
+    StreamDecompressor, StreamStats,
 };
 
 /// Low-level building blocks re-exported for advanced users (custom codecs,
