@@ -5,9 +5,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gompresso_bench::wikipedia_data;
 use gompresso_bitstream::{BitReader, BitWriter};
-use gompresso_format::token_code::TokenCoder;
+use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES};
 use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters};
+use gompresso_huffman::{
+    code_lengths, limited_code_lengths, CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters,
+};
 use gompresso_lz77::{
     common_prefix_len, decompress_block_into, decompress_block_reference, Matcher, MatcherConfig, Sequence,
     SequenceBlock,
@@ -241,7 +243,50 @@ fn bench_huffman(c: &mut Criterion) {
             n
         });
     });
+
+    // Length-limited code construction for both trees of the 1 MiB
+    // wikipedia block, as the block encoder builds them. Both histograms
+    // overflow 10 bits, so each call runs package-merge.
+    let (lit_len_hist, offset_hist) = token_histograms();
+    for hist in [&lit_len_hist, &offset_hist] {
+        let deepest = code_lengths(hist).unwrap().into_iter().max().unwrap();
+        assert!(deepest > 10, "histogram must overflow 10 bits, deepest code {deepest}");
+    }
+    group.throughput(Throughput::Elements(2));
+    group.bench_function("code_lengths_cwl10", |b| {
+        b.iter(|| {
+            let lit_len = limited_code_lengths(&lit_len_hist, 10).unwrap();
+            let offset = limited_code_lengths(&offset_hist, 10).unwrap();
+            lit_len.len() + offset.len()
+        });
+    });
     group.finish();
+}
+
+/// The literal/length and offset histograms the block encoder counts for
+/// the matcher's output on the 1 MiB wikipedia block.
+fn token_histograms() -> (Vec<u64>, Vec<u64>) {
+    let data = wikipedia_data(1 << 20);
+    let cfg = MatcherConfig::gompresso();
+    let coder =
+        TokenCoder::new(cfg.min_match_len as u32, cfg.max_match_len as u32, cfg.window_size as u32).unwrap();
+    let block = Matcher::new(cfg).compress(&data);
+    let mut lit_len = vec![0u64; coder.lit_len_alphabet()];
+    let mut offset = vec![0u64; coder.offset_alphabet()];
+    lit_len[usize::from(END_OF_SEQUENCES)] += 1;
+    offset[0] += 1;
+    for &b in &block.literals {
+        lit_len[usize::from(b)] += 1;
+    }
+    for seq in &block.sequences {
+        if seq.has_match() {
+            lit_len[usize::from(coder.encode_length(seq.match_len).unwrap().0)] += 1;
+            offset[usize::from(coder.encode_offset(seq.match_offset).unwrap().0)] += 1;
+        } else {
+            lit_len[usize::from(END_OF_SEQUENCES)] += 1;
+        }
+    }
+    (lit_len, offset)
 }
 
 fn bench_wild_copy(c: &mut Criterion) {

@@ -7,7 +7,9 @@
 //! lengths, a linear overlap scan for the DE policy, freshly allocated
 //! tables per block, per-symbol Huffman emission through a byte-at-a-time
 //! bit writer, interleaved histogram building — and checks that for random
-//! inputs across {bit, byte} × {plain, DE, strict-HWM}:
+//! inputs across {bit, byte} × {plain, DE, strict-HWM}, and at the edges of
+//! the matcher's check-free fast region (short and long lookaheads, tiny
+//! blocks, three-byte keys):
 //!
 //! * the LZ77 sequence stream is identical, and
 //! * the fully serialized compressed file is byte-identical.
@@ -392,14 +394,49 @@ fn ref_compress_file(data: &[u8], cfg: &CompressorConfig) -> CompressedFile {
 // Properties.
 // ---------------------------------------------------------------------------
 
-/// Mixed input: compressible runs interleaved with incompressible noise so
-/// matches, literals, skip-stride and block boundaries are all exercised.
+/// Words whose text overlaps ("compress" in "decompress", "compression"),
+/// so word salad repeats at every distance and at many match lengths.
+const WORDS: [&[u8]; 16] = [
+    b"the ",
+    b"quick ",
+    b"compress",
+    b"compression ",
+    b"decompress ",
+    b"gompresso ",
+    b"warp ",
+    b"block ",
+    b"<page>",
+    b"</page>\n",
+    b"of ",
+    b"and ",
+    b"data ",
+    b"parallel ",
+    b"massively ",
+    b"lossless ",
+];
+
+/// Mixed input: small-alphabet runs, word salad and incompressible noise,
+/// interleaved so matches of every length (short ones whose covered keys
+/// all come from the matcher's second word load included), literals,
+/// skip-stride and block boundaries are all exercised.
 fn mixed_input() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(
-        prop_oneof![proptest::collection::vec(0u8..24, 1..80), proptest::collection::vec(0u8..255, 1..80),],
-        0..300,
+    proptest::collection::vec((0u8..3, proptest::collection::vec(any::<u8>(), 1..80)), 0..300).prop_map(
+        |chunks| {
+            let mut input = Vec::new();
+            for (kind, bytes) in chunks {
+                match kind {
+                    0 => input.extend(bytes.iter().map(|b| b % 24)),
+                    1 => input.extend_from_slice(&bytes),
+                    _ => {
+                        for &b in bytes.iter().take(12) {
+                            input.extend_from_slice(WORDS[usize::from(b) % WORDS.len()]);
+                        }
+                    }
+                }
+            }
+            input
+        },
     )
-    .prop_map(|chunks| chunks.concat())
 }
 
 fn small_blocks(mut config: CompressorConfig) -> CompressorConfig {
@@ -409,7 +446,7 @@ fn small_blocks(mut config: CompressorConfig) -> CompressorConfig {
 }
 
 fn configs() -> Vec<CompressorConfig> {
-    vec![
+    let mut configs = vec![
         small_blocks(CompressorConfig::bit()),
         small_blocks(CompressorConfig::bit_de()),
         small_blocks(CompressorConfig::byte()),
@@ -417,7 +454,44 @@ fn configs() -> Vec<CompressorConfig> {
         small_blocks(CompressorConfig { strict_hwm: true, ..CompressorConfig::byte_de() }),
         small_blocks(CompressorConfig { chain_depth: 4, hash_bytes: 3, ..CompressorConfig::bit_de() }),
         CompressorConfig { sequences_per_sub_block: 1, ..small_blocks(CompressorConfig::bit()) },
-    ]
+    ];
+    configs.extend(fast_region_edges());
+    configs
+}
+
+/// Configs at the edges of the matcher's fast region, which covers all but
+/// the last `max_match_len + 8` bytes of a block: lookaheads shorter than,
+/// equal to and just past one eight-byte word (where the word compare's
+/// length must be clamped), DEFLATE-length matches in a 64 KiB window, the
+/// single-probe matcher with three-byte keys, and blocks whose fast region is
+/// empty (71 and 72 bytes) or a few positions long (73 and 80 bytes).
+fn fast_region_edges() -> Vec<CompressorConfig> {
+    let mut configs = Vec::new();
+    for (max_match_len, plain, de) in [
+        (3, CompressorConfig::bit(), CompressorConfig::byte_de()),
+        (7, CompressorConfig::byte(), CompressorConfig::bit_de()),
+        (8, CompressorConfig::bit(), CompressorConfig::byte_de()),
+        (9, CompressorConfig::byte(), CompressorConfig::bit_de()),
+    ] {
+        configs.push(small_blocks(CompressorConfig { max_match_len, ..plain }));
+        configs.push(small_blocks(CompressorConfig { max_match_len, ..de }));
+    }
+    configs.push(CompressorConfig {
+        window_size: 64 * 1024,
+        max_match_len: 258,
+        block_size: 16 * 1024,
+        ..small_blocks(CompressorConfig::bit())
+    });
+    configs.push(small_blocks(CompressorConfig { hash_bytes: 3, ..CompressorConfig::bit() }));
+    for (block_size, config) in [
+        (71, CompressorConfig::bit()),
+        (72, CompressorConfig::byte_de()),
+        (73, CompressorConfig::bit_de()),
+        (80, CompressorConfig::byte()),
+    ] {
+        configs.push(CompressorConfig { block_size, ..small_blocks(config) });
+    }
+    configs
 }
 
 proptest! {

@@ -89,66 +89,61 @@ pub fn limited_code_lengths(freqs: &[u64], max_len: u8) -> Result<Vec<u8>> {
         return Ok(unrestricted);
     }
 
-    // Package-merge. Each list element carries the set of original leaves it
-    // contains; a leaf's final code length is the number of selected
-    // elements that contain it.
-    #[derive(Clone)]
-    struct Item {
-        weight: u64,
-        leaves: Vec<u32>,
-    }
-
-    let mut leaves: Vec<Item> =
-        nonzero.iter().map(|&sym| Item { weight: freqs[sym], leaves: vec![sym as u32] }).collect();
-    leaves.sort_by_key(|it| it.weight);
-
-    // `current` is the list for the level being processed, starting at the
-    // deepest level (max_len) which contains only the original leaves.
-    let mut current: Vec<Item> = leaves.clone();
-    for _level in 1..max_len {
-        // Package adjacent pairs.
-        let mut packages: Vec<Item> = Vec::with_capacity(current.len() / 2);
-        let mut iter = current.chunks_exact(2);
-        for pair in &mut iter {
-            let mut merged = pair[0].leaves.clone();
-            merged.extend_from_slice(&pair[1].leaves);
-            packages.push(Item { weight: pair[0].weight + pair[1].weight, leaves: merged });
-        }
-        // Merge packages with a fresh copy of the leaves, keeping the list
-        // sorted by weight (stable: leaves first on ties, which matches the
-        // canonical construction used downstream).
-        let mut next: Vec<Item> = Vec::with_capacity(leaves.len() + packages.len());
+    // Package-merge over flat per-level lists. Level 0 lists the leaves
+    // sorted stably by weight; every higher level merges the leaves with
+    // the pairwise sums ("packages") of the level below, a leaf going first
+    // on a tie. Only the weights and a leaf flag per item are kept: the
+    // leaves in any prefix of a level are its lightest ones, and the
+    // packages in it are the first ones, so the selected items can be
+    // walked top-down from prefix lengths alone.
+    let mut order = nonzero;
+    order.sort_by_key(|&sym| freqs[sym]);
+    let leaf_weights: Vec<u64> = order.iter().map(|&sym| freqs[sym]).collect();
+    let levels = usize::from(max_len);
+    let mut is_leaf: Vec<bool> = Vec::with_capacity(levels * (2 * n - 1));
+    let mut level_start: Vec<usize> = Vec::with_capacity(levels + 1);
+    level_start.push(0);
+    is_leaf.resize(n, true);
+    let mut below = leaf_weights.clone();
+    let mut merged: Vec<u64> = Vec::with_capacity(2 * n - 1);
+    for _level in 1..levels {
+        level_start.push(is_leaf.len());
+        merged.clear();
+        let packages = below.len() / 2;
         let (mut li, mut pi) = (0usize, 0usize);
-        while li < leaves.len() || pi < packages.len() {
-            let take_leaf = match (leaves.get(li), packages.get(pi)) {
-                (Some(l), Some(p)) => l.weight <= p.weight,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => unreachable!(),
-            };
+        while li < n || pi < packages {
+            let package = if pi < packages { below[2 * pi] + below[2 * pi + 1] } else { u64::MAX };
+            let take_leaf = li < n && (pi == packages || leaf_weights[li] <= package);
             if take_leaf {
-                next.push(leaves[li].clone());
+                merged.push(leaf_weights[li]);
                 li += 1;
             } else {
-                next.push(packages[pi].clone());
+                merged.push(package);
                 pi += 1;
             }
+            is_leaf.push(take_leaf);
         }
-        current = next;
+        std::mem::swap(&mut below, &mut merged);
     }
+    level_start.push(is_leaf.len());
 
-    // Select the first 2n - 2 elements of the final (level-1) list; each
-    // containment of a leaf adds one bit to that leaf's code length.
-    let select = 2 * n - 2;
-    let mut depth = vec![0u32; freqs.len()];
-    for item in current.iter().take(select) {
-        for &sym in &item.leaves {
-            depth[sym as usize] += 1;
+    // Select the first 2n - 2 items of the top level. Each leaf in a
+    // level's selected prefix gains one bit; the packages in it select the
+    // first two items below per package.
+    let mut depth = vec![0u8; n];
+    let mut take = 2 * n - 2;
+    for level in (0..levels).rev() {
+        let items = &is_leaf[level_start[level]..level_start[level + 1]];
+        let prefix = &items[..take.min(items.len())];
+        let leaves = prefix.iter().filter(|&&leaf| leaf).count();
+        for d in &mut depth[..leaves] {
+            *d += 1;
         }
+        take = 2 * (prefix.len() - leaves);
     }
-    for &sym in &nonzero {
-        debug_assert!(depth[sym] >= 1 && depth[sym] <= u32::from(max_len));
-        lengths[sym] = depth[sym] as u8;
+    for (&sym, &d) in order.iter().zip(&depth) {
+        debug_assert!(d >= 1 && d <= max_len);
+        lengths[sym] = d;
     }
     Ok(lengths)
 }

@@ -16,7 +16,12 @@
 //!   `u64` load, XOR and `trailing_zeros` ([`common_prefix_len`]), with a
 //!   byte loop only for the sub-word tail;
 //! * the hash of a position is a single unaligned `u32` load (masked down
-//!   when a three-byte key is configured) followed by one multiply;
+//!   when a three-byte key is configured) followed by one multiply; at an
+//!   anchor the key is the low bytes of the word the compare loads anyway;
+//! * each block is scanned in two regions by one loop body: a fast region,
+//!   where every read the loop can make is in bounds so the end-of-block
+//!   tests drop out, then a checked tail for the last `max_match_len + 8`
+//!   bytes; both make the same decisions, so the split changes no output;
 //! * the `head`/`prev` hash-chain tables live in a reusable
 //!   [`MatcherScratch`] — [`Matcher::compress`] keeps one per worker thread,
 //!   so steady-state block compression performs no heap allocation;
@@ -158,10 +163,23 @@ struct EmittedRef {
     end: usize,
 }
 
+/// Loop state a block's fast region hands to its checked tail.
+#[derive(Debug, Default, Clone, Copy)]
+struct Cursor {
+    pos: usize,
+    literal_start: usize,
+    /// Consecutive match-less positions; drives skip-stride acceleration.
+    miss_run: u32,
+    seq_in_group: usize,
+    group_start: usize,
+}
+
 /// Reusable hash-chain state for [`Matcher::compress_with_scratch`].
 ///
-/// A scratch holds the `head` and `prev` chain tables (32 K + 8 K entries
-/// for the default configuration) plus the per-group emitted-reference list.
+/// A scratch holds the `head` table (`2^hash_bits` entries, 16 K for the
+/// default configuration), the `prev` chain ring (one entry per window
+/// byte, materialised only for chain-walking and DE matchers) and the
+/// per-group emitted-reference list.
 /// Allocating these per block dominated compression set-up cost; a scratch
 /// is prepared (cleared and resized for the matcher's configuration) at the
 /// start of every block and its buffers are reused across blocks.
@@ -235,6 +253,11 @@ pub fn common_prefix_len(input: &[u8], a: usize, b: usize, limit: usize) -> usiz
 #[inline(always)]
 fn load_u64(input: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(input[pos..pos + 8].try_into().expect("slice of length 8"))
+}
+
+#[inline(always)]
+fn load_u32(input: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(input[pos..pos + 4].try_into().expect("slice of length 4"))
 }
 
 /// Greedy LZ77 matcher over a single data block.
@@ -336,14 +359,23 @@ impl Matcher {
         }
     }
 
-    /// The compression loop, monomorphised on Dependency Elimination (so the
-    /// plain matcher carries no staleness checks, no emitted-range
+    /// The per-block compressor, monomorphised on Dependency Elimination (so
+    /// the plain matcher carries no staleness checks, no emitted-range
     /// bookkeeping and no per-candidate policy test) and on chain walking
     /// (`CHAIN`): a single-probe matcher without DE never follows a `prev`
     /// link — the first candidate always consumes its one attempt — so the
     /// specialisation elides every `prev` read, write and the ring clear.
     /// DE always walks chains because policy-vetoed candidates do not
     /// consume attempts.
+    ///
+    /// The block is scanned in two regions by one loop body ([`Self::scan`]).
+    /// Below `n - (max_match_len + 8)` every read a position can make — the
+    /// cursor's eight-byte word, a full-length compare, the literal word
+    /// copy, the keys of the positions a match covers — lies inside the
+    /// block, so the fast region runs without the end-of-block tests; the
+    /// checked tail then finishes the last `max_match_len + 8` bytes with
+    /// every test in place. Both regions make the same decisions, so the
+    /// split changes no output byte.
     fn compress_core<const DE: bool, const CHAIN: bool>(
         &self,
         input: &[u8],
@@ -360,32 +392,69 @@ impl Matcher {
         }
 
         scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, cfg.group_size, CHAIN);
-        let MatcherScratch { head, prev, emitted } = scratch;
-        let window_mask = cfg.window_size - 1;
+        let mut cursor = Cursor::default();
+        let fast_end = n.saturating_sub(cfg.max_match_len + 8);
+        self.scan::<DE, CHAIN, true>(input, fast_end, &mut cursor, scratch, out);
+        self.scan::<DE, CHAIN, false>(input, n, &mut cursor, scratch, out);
 
-        // Multiplicative hash of the first `hash_bytes` bytes at `pos` from
-        // a single unaligned `u32` load whenever four bytes are in bounds
-        // (the three-byte key masks the loaded word; callers guarantee at
-        // least three loadable bytes). The key width and shift are hoisted
-        // out of the loop here so the per-probe cost is one load, one
-        // multiply and one shift.
+        // Trailing literals form a final, match-less sequence.
+        let literal_start = cursor.literal_start;
+        if literal_start < n {
+            let literal_len = n - literal_start;
+            out.literals.extend_from_slice(&input[literal_start..]);
+            out.sequences.push(Sequence::literals_only(literal_len as u32));
+        }
+    }
+
+    /// The greedy loop over anchors `cursor.pos..end`, resuming from and
+    /// saving back the state in `cursor`.
+    ///
+    /// With `FAST` the caller guarantees `end <= n - (max_match_len + 8)`,
+    /// so the lookahead limit is `max_match_len`, the anchor's hash key is
+    /// the low bytes of the eight-byte word the candidate compare loads, and
+    /// the `pos + min_match_len <= n`, word-slack and literal-slack tests
+    /// all hold without being made.
+    fn scan<const DE: bool, const CHAIN: bool, const FAST: bool>(
+        &self,
+        input: &[u8],
+        end: usize,
+        cursor: &mut Cursor,
+        scratch: &mut MatcherScratch,
+        out: &mut SequenceBlock,
+    ) {
+        let cfg = &self.config;
+        let n = input.len();
+        debug_assert!(!FAST || end == 0 || end + cfg.max_match_len + 8 <= n);
+        let window_mask = cfg.window_size - 1;
+        // Slicing the table to its power-of-two length once and masking
+        // every hash with `len - 1` lets the compiler drop the bounds check
+        // on each probe.
+        let MatcherScratch { head, prev, emitted } = scratch;
+        let head = &mut head[..1usize << cfg.hash_bits];
+        let hmask = head.len() - 1;
+
+        // Multiplicative hash of the first `hash_bytes` bytes of a
+        // little-endian key word (the three-byte key masks the fourth byte
+        // off). The key width and shift are hoisted out of the loop, so the
+        // per-probe cost is one load, one multiply and one shift.
         let quad = match cfg.hash_bytes {
             0 => cfg.min_match_len >= 4,
             b => b >= 4,
         };
+        let key_mask = if quad { u32::MAX } else { 0x00FF_FFFF };
         let hash_shift = 32 - cfg.hash_bits;
+        let hash = |word: u32| ((word & key_mask).wrapping_mul(2654435761) >> hash_shift) as usize & hmask;
+        // Hash of the key at `pos`, from one unaligned `u32` load whenever
+        // four bytes are in bounds (always, in the fast region; callers
+        // guarantee at least three loadable bytes).
         let hash_at = |pos: usize| -> usize {
-            let bytes = if let Some(chunk) = input.get(pos..pos + 4) {
-                let word = u32::from_le_bytes(chunk.try_into().expect("slice of length 4"));
-                if quad {
-                    word
-                } else {
-                    word & 0x00FF_FFFF
-                }
+            if FAST {
+                hash(load_u32(input, pos))
+            } else if let Some(chunk) = input.get(pos..pos + 4) {
+                hash(u32::from_le_bytes(chunk.try_into().expect("slice of length 4")))
             } else {
-                u32::from_le_bytes([input[pos], input[pos + 1], input[pos + 2], 0])
-            };
-            (bytes.wrapping_mul(2654435761) >> hash_shift) as usize
+                hash(u32::from_le_bytes([input[pos], input[pos + 1], input[pos + 2], 0]))
+            }
         };
 
         // Insertion with a caller-precomputed hash and head entry: the
@@ -412,7 +481,7 @@ impl Matcher {
             }
         };
         let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
-            if pos + cfg.min_match_len > n {
+            if !FAST && pos + cfg.min_match_len > n {
                 return;
             }
             let h = hash_at(pos);
@@ -420,33 +489,29 @@ impl Matcher {
             insert_loaded(head, prev, pos, h, existing);
         };
 
-        let mut pos = 0usize;
-        let mut literal_start = 0usize;
-        let mut seq_in_group = 0usize;
-        let mut group_start = 0usize;
-        // Consecutive match-less positions; drives skip-stride acceleration.
-        let mut miss_run = 0u32;
-
-        while pos < n {
+        let Cursor { mut pos, mut literal_start, mut miss_run, mut seq_in_group, mut group_start } = *cursor;
+        while pos < end {
             let mut best_len = 0usize;
             let mut best_cand = 0usize;
 
             let mut anchor_hash = 0usize;
             let mut anchor_head = u32::MAX;
-            if pos + cfg.min_match_len <= n {
-                let h = hash_at(pos);
+            let hashed = FAST || pos + cfg.min_match_len <= n;
+            if hashed {
+                let limit = if FAST { cfg.max_match_len } else { cfg.max_match_len.min(n - pos) };
+                // One unaligned load of the cursor's next eight bytes serves
+                // the hash key and every candidate comparison at this
+                // anchor; most candidates then cost a single XOR +
+                // trailing_zeros with no data-dependent branching
+                // (`wordwise` is false only within the last seven bytes of
+                // the block).
+                let wordwise = FAST || pos + 8 <= n;
+                let target = if wordwise { load_u64(input, pos) } else { 0 };
+                let h = if FAST { hash(target as u32) } else { hash_at(pos) };
                 anchor_hash = h;
                 anchor_head = head[h];
                 let mut cand = anchor_head;
                 let mut attempts = 0usize;
-                let limit = cfg.max_match_len.min(n - pos);
-                // One unaligned load of the cursor's next eight bytes serves
-                // every candidate comparison at this anchor; most candidates
-                // then cost a single XOR + trailing_zeros with no
-                // data-dependent branching (`wordwise` is false only within
-                // the last seven bytes of the block).
-                let wordwise = pos + 8 <= n;
-                let target = if wordwise { load_u64(input, pos) } else { 0 };
                 while cand != u32::MAX && attempts < cfg.chain_depth {
                     let cand_pos = cand as usize;
                     // Offsets must be strictly smaller than the window so
@@ -472,7 +537,8 @@ impl Matcher {
                         let x = load_u64(input, cand_pos) ^ target;
                         if x != 0 {
                             // Prefix shorter than a word: its exact length
-                            // falls out of the XOR with no byte loop.
+                            // falls out of the XOR with no byte loop (the
+                            // clamp matters when `limit < 8`).
                             (x.trailing_zeros() >> 3) as usize
                         } else if limit <= 8 {
                             limit
@@ -526,7 +592,7 @@ impl Matcher {
                 // turns the constant-length copy into a single unaligned
                 // word move, far cheaper than a variable-length memcpy call.
                 let literal_len = pos - literal_start;
-                if literal_len <= 8 && literal_start + 8 <= n {
+                if literal_len <= 8 && (FAST || literal_start + 8 <= n) {
                     let old_len = out.literals.len();
                     out.literals.extend_from_slice(&input[literal_start..literal_start + 8]);
                     out.literals.truncate(old_len + literal_len);
@@ -572,16 +638,17 @@ impl Matcher {
 
                 pos += best_len;
                 literal_start = pos;
-                seq_in_group += 1;
-                if seq_in_group == cfg.group_size {
-                    seq_in_group = 0;
-                    group_start = pos;
-                    if DE {
+                if DE {
+                    // Only the DE policy reads the group state.
+                    seq_in_group += 1;
+                    if seq_in_group == cfg.group_size {
+                        seq_in_group = 0;
+                        group_start = pos;
                         emitted.clear();
                     }
                 }
             } else {
-                if pos + cfg.min_match_len <= n {
+                if hashed {
                     insert_loaded(head, prev, pos, anchor_hash, anchor_head);
                 }
                 // Skip-stride acceleration: every 2^SKIP_TRIGGER consecutive
@@ -593,13 +660,7 @@ impl Matcher {
                 pos += step;
             }
         }
-
-        // Trailing literals form a final, match-less sequence.
-        if literal_start < n {
-            let literal_len = n - literal_start;
-            out.literals.extend_from_slice(&input[literal_start..]);
-            out.sequences.push(Sequence::literals_only(literal_len as u32));
-        }
+        *cursor = Cursor { pos, literal_start, miss_run, seq_in_group, group_start };
     }
 }
 
@@ -797,6 +858,77 @@ mod tests {
             assert_eq!(block, matcher.compress(input), "scratch reuse changed the output");
             if !input.is_empty() {
                 assert_eq!(decompress_block(&block).unwrap(), *input);
+            }
+        }
+    }
+
+    /// `compress_core` with the fast region left out: the checked loop
+    /// scans the whole block from a fresh cursor.
+    fn compress_checked_only<const DE: bool, const CHAIN: bool>(
+        matcher: &Matcher,
+        input: &[u8],
+    ) -> SequenceBlock {
+        let cfg = matcher.config();
+        let mut scratch = MatcherScratch::new();
+        scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, cfg.group_size, CHAIN);
+        let mut out = SequenceBlock::new();
+        out.uncompressed_len = input.len();
+        let mut cursor = Cursor::default();
+        matcher.scan::<DE, CHAIN, false>(input, input.len(), &mut cursor, &mut scratch, &mut out);
+        if cursor.literal_start < input.len() {
+            out.literals.extend_from_slice(&input[cursor.literal_start..]);
+            out.sequences.push(Sequence::literals_only((input.len() - cursor.literal_start) as u32));
+        }
+        out
+    }
+
+    #[test]
+    fn fast_region_matches_the_checked_loop() {
+        // Both regions must make the same decision at every position, so a
+        // block compressed with the fast region must equal the same block
+        // scanned by the checked loop alone — for all three
+        // specialisations, and for lookaheads below, at and above the
+        // eight-byte word the fast region's key and compare share.
+        let mut configs = Vec::new();
+        for max_match_len in [3, 7, 8, 9, 64, 258] {
+            for hash_bytes in [3, 4] {
+                let base =
+                    MatcherConfig { max_match_len, hash_bytes, hash_bits: 12, ..MatcherConfig::default() };
+                configs.push(base.clone());
+                configs.push(MatcherConfig { chain_depth: 8, window_size: 32 * 1024, ..base.clone() });
+                configs.push(MatcherConfig { dependency_elimination: true, ..base.clone() });
+                configs.push(MatcherConfig { dependency_elimination: true, strict_hwm: true, ..base });
+            }
+        }
+        let words: [&[u8]; 8] =
+            [b"the ", b"there ", b"then ", b"other ", b"another ", b"theorem ", b"at ", b"a\n"];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..24 {
+            let len = (next() % 12_000) as usize;
+            let mut input = Vec::with_capacity(len + 16);
+            while input.len() < len {
+                match next() % 4 {
+                    0 => input.extend_from_slice(words[(next() % 8) as usize]),
+                    1 => input.extend(std::iter::repeat_n(b'x', (next() % 40) as usize)),
+                    2 => input.push(b'a' + (next() % 3) as u8),
+                    _ => input.extend_from_slice(&next().to_le_bytes()),
+                }
+            }
+            input.truncate(len);
+            for cfg in &configs {
+                let matcher = Matcher::new(cfg.clone());
+                let checked = match (cfg.dependency_elimination, cfg.chain_depth > 1) {
+                    (true, _) => compress_checked_only::<true, true>(&matcher, &input),
+                    (false, true) => compress_checked_only::<false, true>(&matcher, &input),
+                    (false, false) => compress_checked_only::<false, false>(&matcher, &input),
+                };
+                assert_eq!(matcher.compress(&input), checked, "round {round}, {cfg:?}");
             }
         }
     }
