@@ -321,7 +321,7 @@ fn bench_wild_copy(c: &mut Criterion) {
 
 fn bench_sub_block_decode(c: &mut Criterion) {
     // The one-pass block decoder against the checked per-sub-block walk
-    // (batched decode_run), over a realistic 1 MiB block.
+    // (one `DecodeTable::decode` per literal), over a realistic 1 MiB block.
     let data = wikipedia_data(1 << 20);
     let cfg = MatcherConfig::gompresso();
     let coder =
@@ -349,7 +349,7 @@ fn bench_sub_block_decode(c: &mut Criterion) {
     group.bench_function("decode_block_1mib", |b| {
         let mut scratch = InterleaveScratch::default();
         b.iter(|| {
-            let (mut sequences, mut literals, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut sequences, mut literals) = (Vec::new(), Vec::new());
             bit.decode_sub_blocks(
                 0..n,
                 &coder,
@@ -358,7 +358,6 @@ fn bench_sub_block_decode(c: &mut Criterion) {
                 &mut scratch,
                 &mut sequences,
                 &mut literals,
-                &mut stats,
             )
             .unwrap();
             sequences.len() + literals.len()

@@ -171,42 +171,6 @@ impl<'a> BitReader<'a> {
         self.nbits -= width;
     }
 
-    /// Number of bits currently buffered in the accumulator.
-    ///
-    /// This is the batched decoder's budget: while `cached_bits()` is at
-    /// least the LUT index width, a whole codeword (plus its length check)
-    /// can be decoded from the accumulator alone — no refill, no EOF
-    /// bookkeeping. [`Self::refill`] tops the budget back up.
-    #[inline]
-    pub fn cached_bits(&self) -> u32 {
-        self.nbits
-    }
-
-    /// Tops the accumulator up to at least 56 buffered bits, or to the end
-    /// of the stream, whichever comes first.
-    ///
-    /// The hot path is a single unaligned little-endian `u64` load; within
-    /// eight bytes of the stream end a byte loop takes over, so refilling
-    /// never reads past the slice (tail-safe) and missing bits past EOF keep
-    /// reading as zero, exactly like [`Self::peek_bits`]. Idempotent:
-    /// refilling an already-full or exhausted reader is a no-op.
-    #[inline]
-    pub fn refill(&mut self) {
-        self.fill();
-    }
-
-    /// Returns the next `width` bits from the accumulator without refilling.
-    ///
-    /// The caller must have verified `cached_bits() >= width` (checked by a
-    /// debug assertion); together with [`Self::consume_peeked`] this forms
-    /// the unchecked inner step of the batched group decode.
-    #[inline]
-    pub fn peek_cached(&self, width: u32) -> u32 {
-        debug_assert!((1..=32).contains(&width) && width <= self.nbits);
-        let mask = if width == 32 { u64::from(u32::MAX) } else { (1u64 << width) - 1 };
-        (self.acc & mask) as u32
-    }
-
     /// Loads input into the accumulator until it holds at least 56 bits or
     /// the stream is exhausted.
     ///
@@ -389,48 +353,6 @@ mod tests {
                 }
                 assert!(r.read_bits(1).is_err());
             }
-        }
-    }
-
-    #[test]
-    fn cached_bits_refill_and_peek_cached_agree_with_checked_reads() {
-        let bytes = written(&[(0xDEAD, 16), (0xBEEF, 16), (0x1234, 16)]);
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.cached_bits(), 0);
-        r.refill();
-        assert!(r.cached_bits() >= 32, "refill must buffer at least 32 bits mid-stream");
-        // The cached peek must return exactly what the checked peek would.
-        let mut check = BitReader::new(&bytes);
-        assert_eq!(r.peek_cached(16), check.peek_bits(16).unwrap());
-        r.consume_peeked(16);
-        check.consume_bits(16).unwrap();
-        assert_eq!(r.peek_cached(16), check.peek_bits(16).unwrap());
-        assert_eq!(r.bit_position(), 16);
-        // Refill is idempotent.
-        let before = (r.cached_bits(), r.bit_position());
-        r.refill();
-        r.refill();
-        assert_eq!(r.bit_position(), before.1);
-        assert!(r.cached_bits() >= before.0);
-    }
-
-    #[test]
-    fn refill_near_stream_tail_is_bounded_by_remaining_bits() {
-        // Within eight bytes of the end the byte-loop refill must expose
-        // exactly the remaining bits, never more.
-        for len in 0usize..=9 {
-            let bytes: Vec<u8> = (0..len).map(|i| i as u8 + 1).collect();
-            let mut r = BitReader::new(&bytes);
-            r.refill();
-            assert!(u64::from(r.cached_bits()) <= r.total_bits(), "len {len}");
-            if len > 0 {
-                assert!(r.cached_bits() >= 8.min(len as u32 * 8), "len {len}");
-            }
-            // Draining every cached bit lands exactly at the position the
-            // counter promised.
-            let cached = r.cached_bits();
-            r.consume_peeked(cached.min(32));
-            assert_eq!(r.bit_position(), u64::from(cached.min(32)));
         }
     }
 

@@ -9,8 +9,8 @@
 //!   followed by warp-level LZ77 decompression with the block's
 //!   back-reference resolution strategy. The host decodes a block's
 //!   sub-blocks one after another in one pass and executes the decoded
-//!   sequences in order; the warp itself exists only in the simulation
-//!   (see below).
+//!   sequences in order; the warp exists only in the model of
+//!   [`crate::warp_lz77`], behind [`Decompressor::simulate`].
 //!
 //! Since the v3 container every block carries its own [`BlockConfig`], so a
 //! single file may mix Huffman and byte-coded blocks and mix resolution
@@ -18,45 +18,28 @@
 //! ([`StrategySelection::Planned`]) and can force one strategy file-wide for
 //! experiments ([`StrategySelection::Force`], the paper's Figure 9a sweep).
 //!
-//! Host decoding and the simulated GPU are separate paths over the same
-//! per-block decode:
-//!
-//! * **execute** — [`Decompressor::decompress`] (and the stream, range and
-//!   salvage decoders built on the same block body) parses each block,
-//!   entropy-decodes its sequences and runs them through the wide-copy
-//!   executor of `gompresso-lz77`. No warp is simulated and no counter is
-//!   charged.
-//! * **model** — [`Decompressor::simulate`] re-runs the block decode with
-//!   the warp charging switched on and walks every block through
-//!   [`decompress_block_warp`], whose instruction, memory and round
-//!   counters the Tesla K40 cost model turns into the GPU time estimates
-//!   of a [`SimulationReport`].
+//! This module is the host decoder. [`Decompressor::decompress`] (and the
+//! stream, range and salvage decoders built on the same block body) parses
+//! each block, entropy-decodes its sequences and runs them through the
+//! wide-copy executor of `gompresso-lz77`, which is also the one structural
+//! validator of decoded sequences; `validate_de` then applies
+//! [`gompresso_lz77::verify_de_invariant`]. `simulate` shares the parse,
+//! the entropy decode, the execution and the DE check, so both paths accept
+//! and reject the same blocks with the same errors.
 
 use crate::error::invalid_field;
-use crate::stats::{DecompressionReport, GpuEstimate, MrrStats, SimulationReport};
+use crate::stats::DecompressionReport;
 use crate::strategy::{ResolutionStrategy, StrategySelection};
-use crate::warp_lz77::{check_de_block, decompress_block_warp};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::{
-    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, CompressedFile, EncodingMode,
-    InterleaveScratch, SubBlockStats,
+    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, CompressedFile, EncodingMode, InterleaveScratch,
 };
 use gompresso_huffman::DecodeTable;
-use gompresso_lz77::SequenceBlock;
-use gompresso_simt::{CostModel, KernelCounters, Warp, WarpCounters, WARP_SIZE};
+use gompresso_lz77::{SequenceBlock, GROUP_SIZE};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::time::Instant;
-
-/// Warp instructions charged per decoded Huffman symbol (table lookup,
-/// shift/consume, extra-bit handling, token store).
-const INSTR_PER_SYMBOL: u64 = 10;
-/// Fixed per-sub-block decoding overhead (offset computation, loop set-up).
-const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
-/// Bytes written to device memory per decoded token (the decoder's output
-/// token stream that the LZ77 kernel later consumes).
-const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
 
 /// Decompressor configuration.
 #[derive(Debug, Clone)]
@@ -94,7 +77,7 @@ impl Default for DecompressorConfig {
 
 impl DecompressorConfig {
     /// Whether a block resolved with `strategy` must pass the DE check.
-    fn checks_de(&self, strategy: ResolutionStrategy) -> bool {
+    pub(crate) fn checks_de(&self, strategy: ResolutionStrategy) -> bool {
         self.validate_de && strategy == ResolutionStrategy::DependencyEliminated
     }
 }
@@ -119,23 +102,12 @@ pub fn decompress_with(
     Decompressor::new(config.clone()).decompress(file)
 }
 
-/// Model by-products of one simulated block.
-struct BlockSimulation {
-    /// Huffman decode kernel counters (bit-mode blocks only).
-    decode_counters: Option<WarpCounters>,
-    lz77_counters: WarpCounters,
-    mrr: MrrStats,
-}
-
-/// Per-worker decode scratch: the block-level sequence/literal buffers, the
-/// cached token tables, the per-sub-block stats vector and the output
-/// buffer simulated blocks are walked into.
+/// Per-worker decode scratch: the block-level sequence/literal buffers and
+/// the cached token tables.
 #[derive(Default)]
 struct DecodeScratch {
     seq_block: SequenceBlock,
     tokens: InterleaveScratch,
-    stats: Vec<SubBlockStats>,
-    simulated: Vec<u8>,
 }
 
 thread_local! {
@@ -159,7 +131,7 @@ impl Decompressor {
 
     /// Decompresses an in-memory Gompresso file on the host, returning the
     /// original data and a report of sizes and wall time. GPU estimates come
-    /// from [`Decompressor::simulate`].
+    /// from [`Decompressor::simulate`], the model in [`crate::warp_lz77`].
     ///
     /// The output buffer is allocated exactly once; every worker writes its
     /// blocks' bytes directly into the block's disjoint slice of that
@@ -193,68 +165,6 @@ impl Decompressor {
         Ok((output, report))
     }
 
-    /// Runs `file` through the simulated GPU: every block is decoded with
-    /// the Huffman decode kernel's warp charging on and walked through the
-    /// warp-level LZ77 kernel ([`decompress_block_warp`]) under the
-    /// configured strategy selection, and `cost` turns the collected
-    /// counters into kernel and PCIe time estimates.
-    ///
-    /// The same validation as [`Decompressor::decompress`] applies (header
-    /// sizes, `validate_de`, checksums when enabled), so a file that fails
-    /// to decompress fails to simulate. The walked bytes are discarded.
-    pub fn simulate(&self, file: &CompressedFile, cost: &CostModel) -> Result<SimulationReport> {
-        let header = &file.header;
-        let coder = self.validated_coder(file)?;
-
-        let results: Vec<Result<BlockSimulation>> = file
-            .blocks
-            .par_iter()
-            .enumerate()
-            .map(|(idx, payload)| {
-                simulate_block(
-                    &self.config,
-                    header.block_config(idx),
-                    &coder,
-                    idx,
-                    &payload.bytes,
-                    header.block_checksums.get(idx).copied(),
-                    header.block_uncompressed_size(idx) as usize,
-                )
-                .map_err(|e| e.in_block(idx as u64, None))
-            })
-            .collect();
-
-        let mut decode_counters = KernelCounters::new();
-        let mut lz77_counters = KernelCounters::new();
-        let mut mrr = MrrStats::default();
-        for result in results {
-            let block = result?;
-            if let Some(decode) = &block.decode_counters {
-                decode_counters.add_warp(decode);
-            }
-            lz77_counters.add_warp(&block.lz77_counters);
-            mrr.merge(&block.mrr);
-        }
-
-        let compressed_size = file.compressed_size() as u64;
-        let gpu = GpuEstimate::from_counters(
-            cost,
-            &decode_counters,
-            &lz77_counters,
-            header.max_codeword_len(),
-            compressed_size,
-            header.uncompressed_size,
-        );
-        Ok(SimulationReport {
-            uncompressed_size: header.uncompressed_size,
-            compressed_size,
-            decode_counters,
-            lz77_counters,
-            mrr,
-            gpu,
-        })
-    }
-
     /// Validates the header and — before anything of `uncompressed_size` is
     /// allocated — bounds its claim: the total must not exceed the
     /// configured output ceiling, every block's payload-declared size must
@@ -262,7 +172,7 @@ impl Decompressor {
     /// payload bytes could plausibly expand to, so neither a corrupt nor a
     /// crafted header can trigger an enormous allocation backed by a tiny
     /// payload. Returns the file's token coder.
-    fn validated_coder(&self, file: &CompressedFile) -> Result<TokenCoder> {
+    pub(crate) fn validated_coder(&self, file: &CompressedFile) -> Result<TokenCoder> {
         let header = &file.header;
         header.validate()?;
         let coder = TokenCoder::new(header.min_match_len, header.max_match_len, header.window_size)?;
@@ -296,86 +206,78 @@ pub(crate) fn decode_into_slices(
     results.into_iter().collect()
 }
 
+/// What a parsed bit block holds besides its sequences, for the decode
+/// kernel [`Decompressor::simulate`] charges.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BitLayout {
+    /// Bytes of the block's two decode tables (4 per entry).
+    pub(crate) table_bytes: u32,
+    /// Sequences per sub-block; the last sub-block may hold fewer.
+    pub(crate) sequences_per_sub_block: usize,
+}
+
 /// Parses one block payload and entropy-decodes its sequences into the
-/// worker's scratch, then checks the decoded length against the `declared`
-/// size the caller sized its output from (header-derived for the in-memory
-/// path, payload-declared and bounds-checked for the streaming path), so a
-/// mismatch means the payload decoded to something else entirely. `model`,
-/// when given, is charged for the Huffman decode kernel (bit mode only).
-fn decode_sequences(
-    scratch: &mut DecodeScratch,
+/// worker's scratch, checks the decoded length against the `declared` size
+/// the caller sized its output from (header-derived for the in-memory path,
+/// payload-declared and bounds-checked for the streaming path), so a
+/// mismatch means the payload decoded to something else entirely, and then
+/// hands the sequences — and a bit block's [`BitLayout`] — to `then`. The
+/// one parse and entropy decode of host decoding and of `simulate`.
+pub(crate) fn with_decoded_block<T>(
     block: &BlockConfig,
     coder: &TokenCoder,
     payload: &[u8],
     declared: usize,
-    model: Option<&mut Warp>,
-) -> Result<()> {
-    let seq_block = &mut scratch.seq_block;
-    let mut r = ByteReader::new(payload);
-    match block.mode {
-        EncodingMode::Bit => {
-            let bit = BitBlock::deserialize(&mut r)?;
-            decode_bit_block(
-                &bit,
-                coder,
-                payload.len(),
-                seq_block,
-                &mut scratch.tokens,
-                &mut scratch.stats,
-                model,
-            )?;
+    then: impl FnOnce(&SequenceBlock, Option<BitLayout>) -> Result<T>,
+) -> Result<T> {
+    DECODE_SCRATCH.with(|scratch| {
+        let DecodeScratch { seq_block, tokens } = &mut *scratch.borrow_mut();
+        let mut r = ByteReader::new(payload);
+        let layout = match block.mode {
+            EncodingMode::Bit => {
+                Some(decode_bit_block(&BitBlock::deserialize(&mut r)?, coder, seq_block, tokens)?)
+            }
+            EncodingMode::Byte => {
+                ByteBlock::deserialize(&mut r)?.decode_into(seq_block)?;
+                None
+            }
+        };
+        if seq_block.uncompressed_len != declared {
+            return Err(GompressoError::OutputSizeMismatch {
+                declared: declared as u64,
+                produced: seq_block.uncompressed_len as u64,
+            });
         }
-        EncodingMode::Byte => ByteBlock::deserialize(&mut r)?.decode_into(seq_block)?,
-    }
-    if seq_block.uncompressed_len != declared {
-        return Err(GompressoError::OutputSizeMismatch {
-            declared: declared as u64,
-            produced: seq_block.uncompressed_len as u64,
-        });
+        then(seq_block, layout)
+    })
+}
+
+/// Executes decoded sequences into `dst` with the wide-copy kernels, which
+/// reject literal overruns, zero offsets, offsets before the block start
+/// and length mismatches — the one structural validation of a decoded
+/// block — and then, when `check_de`, requires the Dependency Elimination
+/// invariant of its 32-sequence groups
+/// ([`gompresso_lz77::verify_de_invariant`]). Checking after the write is
+/// safe: every caller discards a block that fails.
+pub(crate) fn execute_block(
+    seqs: &SequenceBlock,
+    check_de: bool,
+    block_index: usize,
+    dst: &mut [u8],
+) -> Result<()> {
+    gompresso_lz77::decompress_block_into(seqs, dst)?;
+    if check_de {
+        // Execution has validated every offset, so a violation is the only
+        // error left.
+        gompresso_lz77::verify_de_invariant(seqs, GROUP_SIZE)
+            .map_err(|_| GompressoError::DependencyEliminationViolated { block: block_index })?;
     }
     Ok(())
 }
 
-/// The model counterpart of [`decompress_block_checked`]: decodes the block
-/// with the decode kernel charged, walks it through the warp LZ77 kernel
-/// into the worker's scratch buffer and applies the same checks.
-fn simulate_block(
-    config: &DecompressorConfig,
-    block: &BlockConfig,
-    coder: &TokenCoder,
-    block_index: usize,
-    payload: &[u8],
-    checksum: Option<u64>,
-    declared: usize,
-) -> Result<BlockSimulation> {
-    DECODE_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let mut decode_warp = (block.mode == EncodingMode::Bit).then(Warp::new);
-        decode_sequences(scratch, block, coder, payload, declared, decode_warp.as_mut())?;
-        let strategy = config.strategy.resolve(block);
-        let out = &mut scratch.simulated;
-        out.resize(declared, 0);
-        let outcome = decompress_block_warp(
-            &scratch.seq_block,
-            strategy,
-            config.checks_de(strategy),
-            block_index,
-            out,
-        )?;
-        if config.verify_checksums {
-            verify_block_checksum(block_index as u64, checksum, out)?;
-        }
-        Ok(BlockSimulation {
-            decode_counters: decode_warp.map(Warp::into_counters),
-            lz77_counters: outcome.counters,
-            mrr: outcome.mrr,
-        })
-    })
-}
-
 /// Verifies a block's stored content checksum (when the archive carries
 /// one) against the decompressed bytes.
-fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<()> {
+pub(crate) fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<()> {
     if let Some(stored) = stored {
         let computed = gompresso_format::content_checksum(dst);
         if computed != stored {
@@ -387,14 +289,12 @@ fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8]) -> Result<
 
 /// Decodes one admitted block payload into `dst` under the block's recorded
 /// config, reusing the per-worker decode scratch: parse, entropy decode,
-/// size check, the DE check when `validate_de` applies, sequence execution
-/// with the wide-copy kernels (which reject zero offsets, offsets before
-/// the block, literal overruns and length mismatches), then — unless
-/// checksum verification is disabled — the stored content checksum. The
-/// one per-block decode body of the in-memory [`Decompressor`], the
-/// streaming workers in [`crate::stream`], the random-access reader and
-/// salvage, so every path applies identical resolution strategies and
-/// validation.
+/// size check, sequence execution, the DE check when `validate_de` applies,
+/// then — unless checksum verification is disabled — the stored content
+/// checksum. The one per-block decode body of the in-memory
+/// [`Decompressor`], the streaming workers in [`crate::stream`], the
+/// random-access reader and salvage, so every path applies identical
+/// resolution strategies and validation.
 pub(crate) fn decompress_block_checked(
     config: &DecompressorConfig,
     block: &BlockConfig,
@@ -404,14 +304,9 @@ pub(crate) fn decompress_block_checked(
     checksum: Option<u64>,
     dst: &mut [u8],
 ) -> Result<()> {
-    DECODE_SCRATCH.with(|scratch| -> Result<()> {
-        let scratch = &mut *scratch.borrow_mut();
-        decode_sequences(scratch, block, coder, payload, dst.len(), None)?;
-        if config.checks_de(config.strategy.resolve(block)) {
-            check_de_block(&scratch.seq_block, block_index)?;
-        }
-        gompresso_lz77::decompress_block_into(&scratch.seq_block, dst)?;
-        Ok(())
+    let check_de = config.checks_de(config.strategy.resolve(block));
+    with_decoded_block(block, coder, payload, dst.len(), |seqs, _| {
+        execute_block(seqs, check_de, block_index, dst)
     })?;
     if config.verify_checksums {
         verify_block_checksum(block_index as u64, checksum, dst)?;
@@ -491,23 +386,14 @@ fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
     Ok(())
 }
 
-/// Parallel Huffman decoding of one block: each lane of the simulated warp
-/// decodes one sub-block using the block's two shared decode LUTs.
-///
-/// The host decodes every sub-block in one call to
-/// [`BitBlock::decode_sub_blocks`]. When `model` is given, the decode
-/// kernel's warp is charged for the payload read and the shared-memory
-/// LUTs, and then per lock-step group of [`WARP_SIZE`] sub-blocks from the
-/// per-sub-block stats; the host path passes `None` and charges nothing.
+/// Huffman-decodes one bit block into `seq_block`, all its sub-blocks in
+/// one call to [`BitBlock::decode_sub_blocks`], and returns its layout.
 fn decode_bit_block(
     bit: &BitBlock,
     coder: &TokenCoder,
-    payload_bytes: usize,
     seq_block: &mut SequenceBlock,
     tokens: &mut InterleaveScratch,
-    stats: &mut Vec<SubBlockStats>,
-    model: Option<&mut Warp>,
-) -> Result<()> {
+) -> Result<BitLayout> {
     let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
     let offset_dec = DecodeTable::new(&bit.offset_code)?;
     let sequences = &mut seq_block.sequences;
@@ -517,7 +403,6 @@ fn decode_bit_block(
     sequences.reserve((bit.n_sequences as usize).min(bit.bitstream.len().saturating_mul(8)));
     literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
     seq_block.uncompressed_len = bit.uncompressed_len as usize;
-    stats.clear();
     bit.decode_sub_blocks(
         0..bit.sub_block_count(),
         coder,
@@ -526,49 +411,11 @@ fn decode_bit_block(
         tokens,
         sequences,
         literals,
-        stats,
     )?;
-
-    if let Some(warp) = model {
-        // The compressed block is staged in device memory; reading it is a
-        // coalesced streaming read.
-        warp.global_read(payload_bytes as u64, true);
-        // LUT construction into shared memory (charged once per block; on
-        // the GPU the group's threads cooperate on this).
-        let lut_bytes = u64::from(lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes());
-        warp.shared_write(lut_bytes);
-        warp.charge_instructions(lut_bytes / 4);
-        // Lanes process sub-blocks 32 at a time in lock step; each group is
-        // charged with the block's literal bytes decoded up to its end.
-        let mut literals_so_far = 0u64;
-        for group in stats.chunks(WARP_SIZE) {
-            literals_so_far += group.iter().map(|s| u64::from(s.literals)).sum::<u64>();
-            charge_decode_group(warp, group, literals_so_far);
-        }
-    }
-    Ok(())
-}
-
-/// Charges one lock-step group of the Huffman decode kernel; `literals` is
-/// the block's literal bytes decoded so far.
-fn charge_decode_group(warp: &mut Warp, stats: &[SubBlockStats], literals: u64) {
-    let mut max_lane_symbols = 0u64;
-    let mut group_sequences = 0u64;
-    let mut group_shared_reads = 0u64;
-    for sub_stats in stats {
-        let symbols = sub_stats.symbols();
-        max_lane_symbols = max_lane_symbols.max(symbols);
-        group_sequences += u64::from(sub_stats.sequences);
-        group_shared_reads += symbols * 4;
-    }
-    // Lock-step cost: the warp runs as long as its busiest lane.
-    warp.charge_instructions(max_lane_symbols * INSTR_PER_SYMBOL + SUB_BLOCK_OVERHEAD_INSTR);
-    warp.shared_read(group_shared_reads);
-    // The decoded token stream is written back to device memory for the
-    // LZ77 kernel (paper, Section III-B-1).
-    warp.global_write(group_sequences * TOKEN_STREAM_BYTES_PER_SEQ, true);
-    // Literal bytes also travel through the token stream.
-    warp.global_write(literals, true);
+    Ok(BitLayout {
+        table_bytes: lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes(),
+        sequences_per_sub_block: bit.sequences_per_sub_block as usize,
+    })
 }
 
 #[cfg(test)]
@@ -576,6 +423,7 @@ mod tests {
     use super::*;
     use crate::compress::compress;
     use crate::config::CompressorConfig;
+    use crate::{CostModel, SimulationReport};
 
     fn wiki_like(len: usize) -> Vec<u8> {
         let mut data = Vec::with_capacity(len);

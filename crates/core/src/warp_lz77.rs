@@ -1,8 +1,13 @@
-//! Warp-level LZ77 decompression (paper, Sections III-B-2 and IV).
+//! The Tesla K40 model of decompression (paper, Sections III-B and IV).
 //!
-//! One data block is decompressed by one simulated GPU warp. The warp
-//! processes the block's sequences in groups of 32 — one sequence per lane —
-//! and for each group performs the three steps of the paper:
+//! [`Decompressor::simulate`] runs a file through two simulated kernels per
+//! block and turns their counters into GPU time estimates:
+//!
+//! * the **Huffman decode kernel** (bit-mode blocks) — one sub-block per
+//!   lane, in lock-step groups of 32; each lane's tallies come from its
+//!   sub-block's decoded sequences ([`SubBlockStats::of`]);
+//! * the **warp-level LZ77 kernel** ([`decompress_block_warp`]) — one
+//!   sequence per lane, in groups of 32, with the three steps of the paper:
 //!
 //! 1. **Reading sequences** — each lane reads its sequence, and an exclusive
 //!    warp prefix sum over the literal lengths locates each lane's literal
@@ -19,30 +24,36 @@
 //! to the [`Warp`] counters so the GPU cost model can translate the run into
 //! an estimated Tesla K40 kernel time.
 //!
-//! Simulation and byte movement are decoupled: the warp walk charges
-//! counters and validates every sequence (group by group, exactly as
-//! before), but writes nothing; once the whole block has validated, a
-//! single sequential pass executes the sequences with the wide-copy kernels
-//! of `gompresso-lz77` (8/16-byte chunks, wild overshoot confined to the
-//! block's disjoint output slice). The decompressed bytes are identical —
-//! LZ77 execution is deterministic regardless of resolution order — and the
-//! counters, being pure functions of the sequence metadata, are
-//! byte-for-byte what the copying simulation charged.
-//!
-//! The walk is the *model*, not the host decoder: only
-//! [`crate::Decompressor::simulate`] runs it. Host decodes execute the
-//! sequences directly and, when asked to validate Dependency Elimination,
-//! run `check_de_block` — the walk's own DE check without the charging.
-//! [`warp_walks`] counts walks process-wide, so tests can prove the host
-//! paths never enter the model.
+//! The model decodes and validates exactly as the host does: it reads each
+//! block through the host's parse and entropy decode, and the walk first
+//! executes the block with the host's executor and DE check
+//! ([`mod@crate::decompress`]), so a block fails here with the host
+//! decoder's error. Only then does it walk the groups, and the walk only
+//! charges counters, which are pure functions of the sequence metadata.
+//! Host decodes never enter this module; [`warp_walks`] counts walks
+//! process-wide, so tests can prove it.
 
-use crate::stats::MrrStats;
+use crate::decompress::{
+    execute_block, verify_block_checksum, with_decoded_block, BitLayout, Decompressor, DecompressorConfig,
+};
+use crate::stats::{GpuEstimate, MrrStats, SimulationReport};
 use crate::strategy::ResolutionStrategy;
-use crate::{GompressoError, Result};
-use gompresso_lz77::{decompress_block_into, Lz77Error, Sequence, SequenceBlock};
-use gompresso_simt::{Warp, WarpCounters, WarpMask, WARP_SIZE};
+use crate::Result;
+use gompresso_format::{token_code::TokenCoder, BlockConfig, CompressedFile, SubBlockStats};
+use gompresso_lz77::{Sequence, SequenceBlock};
+use gompresso_simt::{CostModel, KernelCounters, Warp, WarpCounters, WarpMask, WARP_SIZE};
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Decode kernel: warp instructions charged per decoded Huffman symbol
+/// (table lookup, shift/consume, extra-bit handling, token store).
+const INSTR_PER_SYMBOL: u64 = 10;
+/// Decode kernel: fixed per-sub-block decoding overhead (offset
+/// computation, loop set-up).
+const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
+/// Decode kernel: bytes written to device memory per decoded token (the
+/// decoder's output token stream that the LZ77 kernel later consumes).
+const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
 /// Bytes copied per simulated copy-loop iteration. GPU decompressors copy a
 /// word at a time; 4 bytes is the conservative figure for unaligned output.
 const COPY_GRANULE: u64 = 4;
@@ -69,6 +80,144 @@ static WARP_WALKS: AtomicU64 = AtomicU64::new(0);
 /// [`crate::Decompressor::simulate`] (and direct callers of the walk).
 pub fn warp_walks() -> u64 {
     WARP_WALKS.load(Ordering::Relaxed)
+}
+
+impl Decompressor {
+    /// Runs `file` through the simulated GPU: every block is decoded,
+    /// charged to the Huffman decode kernel (bit mode) and walked through
+    /// the warp-level LZ77 kernel ([`decompress_block_warp`]) under the
+    /// configured strategy selection, and `cost` turns the collected
+    /// counters into kernel and PCIe time estimates.
+    ///
+    /// The same validation as [`Decompressor::decompress`] applies (header
+    /// sizes, `validate_de`, checksums when enabled), with the same errors,
+    /// so a file that fails to decompress fails to simulate. The executed
+    /// bytes are discarded.
+    pub fn simulate(&self, file: &CompressedFile, cost: &CostModel) -> Result<SimulationReport> {
+        let header = &file.header;
+        let coder = self.validated_coder(file)?;
+
+        let results: Vec<Result<BlockSimulation>> = file
+            .blocks
+            .par_iter()
+            .enumerate()
+            .map(|(idx, payload)| {
+                simulate_block(
+                    self.config(),
+                    header.block_config(idx),
+                    &coder,
+                    idx,
+                    &payload.bytes,
+                    header.block_checksums.get(idx).copied(),
+                    header.block_uncompressed_size(idx) as usize,
+                )
+                .map_err(|e| e.in_block(idx as u64, None))
+            })
+            .collect();
+
+        let mut decode_counters = KernelCounters::new();
+        let mut lz77_counters = KernelCounters::new();
+        let mut mrr = MrrStats::default();
+        for result in results {
+            let block = result?;
+            if let Some(decode) = &block.decode_counters {
+                decode_counters.add_warp(decode);
+            }
+            lz77_counters.add_warp(&block.lz77_counters);
+            mrr.merge(&block.mrr);
+        }
+
+        let compressed_size = file.compressed_size() as u64;
+        let gpu = GpuEstimate::from_counters(
+            cost,
+            &decode_counters,
+            &lz77_counters,
+            header.max_codeword_len(),
+            compressed_size,
+            header.uncompressed_size,
+        );
+        Ok(SimulationReport {
+            uncompressed_size: header.uncompressed_size,
+            compressed_size,
+            decode_counters,
+            lz77_counters,
+            mrr,
+            gpu,
+        })
+    }
+}
+
+/// Model by-products of one simulated block.
+struct BlockSimulation {
+    /// Huffman decode kernel counters (bit-mode blocks only).
+    decode_counters: Option<WarpCounters>,
+    lz77_counters: WarpCounters,
+    mrr: MrrStats,
+}
+
+/// The model counterpart of the host's per-block decode: the same parse,
+/// entropy decode and size check, then the warp LZ77 kernel (which executes
+/// the block with the host's checks first) into a throwaway buffer, the
+/// checksum, and the decode kernel's charges.
+fn simulate_block(
+    config: &DecompressorConfig,
+    block: &BlockConfig,
+    coder: &TokenCoder,
+    block_index: usize,
+    payload: &[u8],
+    checksum: Option<u64>,
+    declared: usize,
+) -> Result<BlockSimulation> {
+    let strategy = config.strategy.resolve(block);
+    with_decoded_block(block, coder, payload, declared, |seqs, layout| {
+        let mut out = vec![0u8; declared];
+        let outcome =
+            decompress_block_warp(seqs, strategy, config.checks_de(strategy), block_index, &mut out)?;
+        if config.verify_checksums {
+            verify_block_checksum(block_index as u64, checksum, &out)?;
+        }
+        Ok(BlockSimulation {
+            decode_counters: layout.map(|layout| charge_decode_kernel(seqs, layout, payload.len())),
+            lz77_counters: outcome.counters,
+            mrr: outcome.mrr,
+        })
+    })
+}
+
+/// The Huffman decode kernel on one bit block: a coalesced read of the
+/// `payload_bytes`-byte payload, the two decode LUTs built in shared memory
+/// (charged once per block; on the GPU the group's threads cooperate on
+/// this), then one lock-step group per 32 sub-blocks, one sub-block per
+/// lane. A group runs as long as its busiest lane and writes its decoded
+/// token stream back to device memory for the LZ77 kernel (paper, Section
+/// III-B-1), charged with the block's literal bytes decoded up to its end.
+fn charge_decode_kernel(seqs: &SequenceBlock, layout: BitLayout, payload_bytes: usize) -> WarpCounters {
+    let mut warp = Warp::new();
+    warp.global_read(payload_bytes as u64, true);
+    let lut_bytes = u64::from(layout.table_bytes);
+    warp.shared_write(lut_bytes);
+    warp.charge_instructions(lut_bytes / 4);
+
+    let per_lane = layout.sequences_per_sub_block;
+    let mut literals = 0u64;
+    for group in seqs.sequences.chunks(per_lane * WARP_SIZE) {
+        let mut max_lane_symbols = 0u64;
+        let mut group_sequences = 0u64;
+        let mut group_shared_reads = 0u64;
+        for lane in group.chunks(per_lane).map(SubBlockStats::of) {
+            let symbols = lane.symbols();
+            max_lane_symbols = max_lane_symbols.max(symbols);
+            group_sequences += u64::from(lane.sequences);
+            group_shared_reads += symbols * 4;
+            literals += u64::from(lane.literals);
+        }
+        warp.charge_instructions(max_lane_symbols * INSTR_PER_SYMBOL + SUB_BLOCK_OVERHEAD_INSTR);
+        warp.shared_read(group_shared_reads);
+        warp.global_write(group_sequences * TOKEN_STREAM_BYTES_PER_SEQ, true);
+        // Literal bytes also travel through the token stream.
+        warp.global_write(literals, true);
+    }
+    warp.into_counters()
 }
 
 /// Result of decompressing one block on one simulated warp.
@@ -106,15 +255,11 @@ impl LaneState {
 /// Decompresses `block` with the given strategy, simulating one warp,
 /// writing the decompressed bytes directly into `output`.
 ///
-/// `output` must be exactly `block.uncompressed_len` bytes — in the zero-copy
-/// driver it is this block's disjoint slice of the file-level output buffer,
-/// so every decompressed byte is written exactly once, with no per-block
-/// staging vector and no merge copy.
-///
-/// `validate_de` additionally checks (when the DE strategy is selected) that
-/// no back-reference depends on another back-reference of its group and
-/// reports a [`GompressoError::DependencyEliminationViolated`] otherwise;
-/// the caller supplies the block index used in that error.
+/// The block is first executed into `output` by the host's executor, the
+/// one structural validator; with `validate_de` and the DE strategy it must
+/// then pass the host's DE check, whose error carries `block_index`. Every
+/// error is thus the host decoder's. Only a valid block is walked, group by
+/// group, charging the counters.
 pub fn decompress_block_warp(
     block: &SequenceBlock,
     strategy: ResolutionStrategy,
@@ -122,23 +267,15 @@ pub fn decompress_block_warp(
     block_index: usize,
     output: &mut [u8],
 ) -> Result<WarpDecompressOutcome> {
-    if output.len() != block.uncompressed_len {
-        return Err(GompressoError::OutputSizeMismatch {
-            declared: block.uncompressed_len as u64,
-            produced: output.len() as u64,
-        });
-    }
     WARP_WALKS.fetch_add(1, Ordering::Relaxed);
+    let check_de = validate_de && strategy == ResolutionStrategy::DependencyEliminated;
+    execute_block(block, check_de, block_index, output)?;
+
     let mut warp = Warp::new();
     let mut mrr = MrrStats::default();
     let mut out_cursor = 0u64;
-    let mut literal_cursor = 0u64;
-
-    // Pass 1 — simulate and validate. The group walk charges exactly the
-    // counters the copying implementation charged and performs the same
-    // structural checks in the same order, but moves no bytes.
-    for (group_idx, group) in block.sequences.chunks(WARP_SIZE).enumerate() {
-        let lanes = prepare_group(&mut warp, block, group, group_idx, out_cursor, literal_cursor)?;
+    for group in block.sequences.chunks(WARP_SIZE) {
+        let lanes = prepare_group(&mut warp, group, &mut out_cursor);
         let active = group.len();
 
         charge_literal_copies(&mut warp, &lanes, active);
@@ -151,127 +288,45 @@ pub fn decompress_block_warp(
                 resolve_multi_round(&mut warp, &lanes, active, &mut mrr);
             }
             ResolutionStrategy::DependencyEliminated => {
-                if validate_de {
-                    check_de_invariant(&lanes, active, block_index)?;
-                }
                 resolve_single_round(&mut warp, &lanes, active);
             }
         }
-
-        advance_cursors(&lanes[..active], &mut out_cursor, &mut literal_cursor);
         warp.charge_instructions(GROUP_OVERHEAD_INSTR);
     }
-
-    if out_cursor != block.uncompressed_len as u64 {
-        return Err(GompressoError::OutputSizeMismatch {
-            declared: block.uncompressed_len as u64,
-            produced: out_cursor,
-        });
-    }
-
-    // Pass 2 — execute. The sequential wide-copy walk revalidates the same
-    // conditions pass 1 just proved (its per-sequence checks are O(1), the
-    // copies dominate), so an error here is unreachable; `?` keeps it an
-    // error rather than a panic should the two walks ever disagree.
-    decompress_block_into(block, output)?;
 
     Ok(WarpDecompressOutcome { counters: warp.into_counters(), mrr })
 }
 
 /// Step (a): read sequences and compute per-lane cursors with two warp
-/// prefix sums.
-fn prepare_group(
-    warp: &mut Warp,
-    block: &SequenceBlock,
-    group: &[Sequence],
-    group_idx: usize,
-    out_cursor: u64,
-    literal_cursor: u64,
-) -> Result<[LaneState; WARP_SIZE]> {
-    let active = group.len();
-
+/// prefix sums; `out_cursor` moves past the group's output.
+fn prepare_group(warp: &mut Warp, group: &[Sequence], out_cursor: &mut u64) -> [LaneState; WARP_SIZE] {
     // Token reads from device memory: one sequence struct per lane.
-    warp.global_read(SEQ_TOKEN_BYTES * active as u64, true);
+    warp.global_read(SEQ_TOKEN_BYTES * group.len() as u64, true);
     warp.charge_instructions(SEQ_PARSE_INSTR);
 
     // Prefix sum 1 locates each lane's literals in the token stream, prefix
-    // sum 2 its output write offset. The warp charges both; `group_lanes`
-    // computes the same offsets linearly.
+    // sum 2 its output write offset. The warp charges both; the lanes below
+    // take the same offsets linearly.
     let mut literal_lens = [0u64; WARP_SIZE];
     let mut output_lens = [0u64; WARP_SIZE];
+    let mut lanes = [LaneState::default(); WARP_SIZE];
     for (lane, seq) in group.iter().enumerate() {
         literal_lens[lane] = u64::from(seq.literal_len);
         output_lens[lane] = u64::from(seq.literal_len) + u64::from(seq.match_len);
-    }
-    warp.exclusive_prefix_sum(&literal_lens);
-    warp.exclusive_prefix_sum(&output_lens);
-
-    group_lanes(block, group, group_idx, out_cursor, literal_cursor)
-}
-
-/// Lane states of one group of sequences starting at the given block
-/// cursors, with the structural checks every lane must pass: the group's
-/// literals exist, back-references have a non-zero offset inside the block,
-/// and no lane writes past the declared block length.
-fn group_lanes(
-    block: &SequenceBlock,
-    group: &[Sequence],
-    group_idx: usize,
-    out_cursor: u64,
-    literal_cursor: u64,
-) -> Result<[LaneState; WARP_SIZE]> {
-    let literal_total: u64 = group.iter().map(|seq| u64::from(seq.literal_len)).sum();
-    if literal_cursor + literal_total > block.literals.len() as u64 {
-        return Err(GompressoError::Lz77(Lz77Error::LiteralOverrun {
-            sequence: group_idx * WARP_SIZE,
-            requested: (literal_cursor + literal_total) as usize,
-            available: block.literals.len(),
-        }));
-    }
-
-    let mut lanes = [LaneState::default(); WARP_SIZE];
-    let mut out_start = out_cursor;
-    for (lane, seq) in group.iter().enumerate() {
-        let state = LaneState {
+        lanes[lane] = LaneState {
             literal_len: u64::from(seq.literal_len),
             match_len: u64::from(seq.match_len),
             match_offset: u64::from(seq.match_offset),
-            out_start,
+            out_start: *out_cursor,
         };
-        // Structural validation: back-references must stay inside the block.
-        if state.match_len > 0 {
-            if state.match_offset == 0 {
-                return Err(GompressoError::Lz77(Lz77Error::ZeroOffset {
-                    sequence: group_idx * WARP_SIZE + lane,
-                }));
-            }
-            if state.match_offset > state.write_pos() {
-                return Err(GompressoError::Lz77(Lz77Error::OffsetBeforeStart {
-                    sequence: group_idx * WARP_SIZE + lane,
-                    position: state.write_pos() as usize,
-                    offset: state.match_offset as usize,
-                }));
-            }
-        }
-        if state.out_end() > block.uncompressed_len as u64 {
-            return Err(GompressoError::OutputSizeMismatch {
-                declared: block.uncompressed_len as u64,
-                produced: state.out_end(),
-            });
-        }
-        lanes[lane] = state;
-        out_start = state.out_end();
+        *out_cursor += output_lens[lane];
     }
-    Ok(lanes)
+    warp.exclusive_prefix_sum(&literal_lens);
+    warp.exclusive_prefix_sum(&output_lens);
+    lanes
 }
 
-/// Moves the block cursors past one group's lanes.
-fn advance_cursors(lanes: &[LaneState], out_cursor: &mut u64, literal_cursor: &mut u64) {
-    *literal_cursor += lanes.iter().map(|l| l.literal_len).sum::<u64>();
-    *out_cursor += lanes.iter().map(|l| l.literal_len + l.match_len).sum::<u64>();
-}
-
-/// Step (b): charge each lane's literal copy (the bytes move in pass 2).
+/// Step (b): charge each lane's literal copy (the executor moved the bytes).
 fn charge_literal_copies(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: usize) {
     let total_bytes: u64 = lanes[..active].iter().map(|l| l.literal_len).sum();
     if total_bytes == 0 {
@@ -431,52 +486,11 @@ fn high_water_mark(lanes: &[LaneState; WARP_SIZE], active: usize, pending: u32) 
     }
 }
 
-/// The Dependency Elimination check of a warp walk under `validate_de`,
-/// without the walk: groups the block's sequences 32 at a time exactly as
-/// the warp does, applies the same structural lane checks, and fails with
-/// [`GompressoError::DependencyEliminationViolated`] when a back-reference
-/// reads bytes another lane's back-reference in its group writes. Host
-/// decodes run this in front of sequence execution, so `validate_de` means
-/// the same thing with and without the model.
-pub(crate) fn check_de_block(block: &SequenceBlock, block_index: usize) -> Result<()> {
-    let mut out_cursor = 0u64;
-    let mut literal_cursor = 0u64;
-    for (group_idx, group) in block.sequences.chunks(WARP_SIZE).enumerate() {
-        let lanes = group_lanes(block, group, group_idx, out_cursor, literal_cursor)?;
-        check_de_invariant(&lanes, group.len(), block_index)?;
-        advance_cursors(&lanes[..group.len()], &mut out_cursor, &mut literal_cursor);
-    }
-    Ok(())
-}
-
-/// DE validation: no lane's back-reference may read bytes written by another
-/// lane's back-reference in the same group.
-fn check_de_invariant(lanes: &[LaneState; WARP_SIZE], active: usize, block_index: usize) -> Result<()> {
-    for i in 0..active {
-        let lane = &lanes[i];
-        if lane.match_len == 0 {
-            continue;
-        }
-        let read_start = lane.write_pos() - lane.match_offset;
-        let read_end = read_start + lane.match_len;
-        for (j, other) in lanes[..active].iter().enumerate() {
-            if i == j || other.match_len == 0 {
-                continue;
-            }
-            let other_start = other.write_pos();
-            let other_end = other.out_end();
-            if read_start < other_end && read_end > other_start {
-                return Err(GompressoError::DependencyEliminationViolated { block: block_index });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gompresso_lz77::{decompress_block, Matcher, MatcherConfig};
+    use crate::GompressoError;
+    use gompresso_lz77::{decompress_block, verify_de_invariant, Lz77Error, Matcher, MatcherConfig};
 
     fn reference(block: &SequenceBlock) -> Vec<u8> {
         decompress_block(block).expect("reference decompression failed")
@@ -532,7 +546,7 @@ mod tests {
         let block = Matcher::new(MatcherConfig::gompresso_de()).compress(&input);
         let (output, out) = run_warp(&block, ResolutionStrategy::DependencyEliminated, true, 7).unwrap();
         assert_eq!(output, input);
-        check_de_block(&block, 7).unwrap();
+        verify_de_invariant(&block, WARP_SIZE).unwrap();
         // DE charges at most one resolution round per group.
         assert!(out.counters.rounds <= block.sequences.len().div_ceil(WARP_SIZE) as u64);
     }
@@ -551,9 +565,10 @@ mod tests {
             Err(GompressoError::DependencyEliminationViolated { block: 3 }) => {}
             other => panic!("expected DE violation for block 3, got {other:?}"),
         }
-        // The host-side check, run without the walk, agrees.
+        // The host's check, run without the walk, agrees.
+        let mut output = vec![0u8; block.uncompressed_len];
         assert!(matches!(
-            check_de_block(&block, 3),
+            execute_block(&block, true, 3, &mut output),
             Err(GompressoError::DependencyEliminationViolated { block: 3 })
         ));
         // Without validation the host-side copy is still correct.
@@ -624,7 +639,6 @@ mod tests {
             run_warp(&bad, ResolutionStrategy::MultiRound, false, 0),
             Err(GompressoError::Lz77(Lz77Error::ZeroOffset { .. }))
         ));
-        assert!(matches!(check_de_block(&bad, 0), Err(GompressoError::Lz77(Lz77Error::ZeroOffset { .. }))));
 
         // Offset reaching before the block.
         let bad = SequenceBlock {
@@ -634,10 +648,6 @@ mod tests {
         };
         assert!(matches!(
             run_warp(&bad, ResolutionStrategy::DependencyEliminated, false, 0),
-            Err(GompressoError::Lz77(Lz77Error::OffsetBeforeStart { .. }))
-        ));
-        assert!(matches!(
-            check_de_block(&bad, 0),
             Err(GompressoError::Lz77(Lz77Error::OffsetBeforeStart { .. }))
         ));
 
@@ -651,12 +661,8 @@ mod tests {
             run_warp(&bad, ResolutionStrategy::SequentialCopy, false, 0),
             Err(GompressoError::Lz77(Lz77Error::LiteralOverrun { .. }))
         ));
-        assert!(matches!(
-            check_de_block(&bad, 0),
-            Err(GompressoError::Lz77(Lz77Error::LiteralOverrun { .. }))
-        ));
 
-        // Declared length disagrees with sequences.
+        // Declared length disagrees with sequences: the executor's error.
         let bad = SequenceBlock {
             sequences: vec![Sequence::literals_only(2)],
             literals: vec![b'a'; 2],
@@ -664,8 +670,65 @@ mod tests {
         };
         assert!(matches!(
             run_warp(&bad, ResolutionStrategy::SequentialCopy, false, 0),
-            Err(GompressoError::OutputSizeMismatch { .. })
+            Err(GompressoError::Lz77(Lz77Error::LengthMismatch { declared: 10, produced: 2 }))
         ));
+    }
+
+    #[test]
+    fn structural_errors_come_before_de_violations() {
+        // Sequence 1 reads the bytes sequence 0's match writes in the same
+        // group, and the block declares one byte more than it holds.
+        let bad = SequenceBlock {
+            sequences: vec![
+                Sequence { literal_len: 4, match_offset: 4, match_len: 4 },
+                Sequence { literal_len: 0, match_offset: 4, match_len: 4 },
+            ],
+            literals: b"abcd".to_vec(),
+            uncompressed_len: 13,
+        };
+        let length = GompressoError::Lz77(Lz77Error::LengthMismatch { declared: 13, produced: 12 });
+        let mut output = vec![0u8; 13];
+        assert_eq!(execute_block(&bad, true, 0, &mut output), Err(length.clone()));
+        assert_eq!(run_warp(&bad, ResolutionStrategy::DependencyEliminated, true, 0).unwrap_err(), length);
+        // With the length right, the violation is what remains.
+        let nested = SequenceBlock { uncompressed_len: 12, ..bad };
+        let violation = GompressoError::DependencyEliminationViolated { block: 0 };
+        let mut output = vec![0u8; 12];
+        assert_eq!(execute_block(&nested, true, 0, &mut output), Err(violation.clone()));
+        assert_eq!(
+            run_warp(&nested, ResolutionStrategy::DependencyEliminated, true, 0).unwrap_err(),
+            violation
+        );
+    }
+
+    #[test]
+    fn simulate_fails_with_the_host_decoders_error() {
+        // A bit block whose sequences decode to three bytes fewer than the
+        // block (and the header) declares.
+        use crate::{compress, decompress_with, CompressorConfig, CostModel, Decompressor};
+        use gompresso_bitstream::{ByteReader, ByteWriter};
+        use gompresso_format::{BitBlock, BlockPayload};
+
+        let data = sample_text(20_000);
+        let mut file = compress(&data, &CompressorConfig::bit()).unwrap().file;
+        assert_eq!(file.blocks.len(), 1);
+        let mut bit = BitBlock::deserialize(&mut ByteReader::new(&file.blocks[0].bytes)).unwrap();
+        bit.uncompressed_len += 3;
+        let mut w = ByteWriter::new();
+        bit.serialize(&mut w);
+        file.header.uncompressed_size += 3;
+        let file = CompressedFile::new(file.header, vec![BlockPayload { bytes: w.finish() }]).unwrap();
+
+        for strategy in ResolutionStrategy::ALL {
+            let config = DecompressorConfig { strategy: strategy.into(), ..DecompressorConfig::default() };
+            let host = decompress_with(&file, &config).unwrap_err();
+            let model = Decompressor::new(config).simulate(&file, &CostModel::tesla_k40()).unwrap_err();
+            assert!(matches!(
+                host.root_cause(),
+                GompressoError::Lz77(Lz77Error::LengthMismatch { declared: 20_003, produced: 20_000 })
+            ));
+            assert_eq!(model.root_cause(), host.root_cause(), "{strategy}");
+        }
     }
 
     #[test]

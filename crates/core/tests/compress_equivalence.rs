@@ -7,17 +7,17 @@
 //! lengths, a linear overlap scan for the DE policy, freshly allocated
 //! tables per block, per-symbol Huffman emission through a byte-at-a-time
 //! bit writer, interleaved histogram building — and checks that for random
-//! inputs across {bit, byte} × {plain, DE, strict-HWM}, and at the edges of
-//! the matcher's check-free fast region (short and long lookaheads, tiny
-//! blocks, three-byte keys):
+//! inputs across {bit, byte} × {plain, deep-chain, DE, strict-HWM}, and at
+//! the edges of the matcher's check-free fast region (short and long
+//! lookaheads, tiny blocks, three-byte keys):
 //!
 //! * the LZ77 sequence stream is identical, and
 //! * the fully serialized compressed file is byte-identical.
 //!
-//! The reference mirrors the *algorithm* (quad-byte hashing, single-probe
-//! chains whose DE-vetoed candidates do not consume attempts, skip-stride
-//! over miss runs, the sampled covered-position insertion inside long
-//! matches, the minimal-staleness policy) in its simplest possible code, so
+//! The reference mirrors the *algorithm* (quad-byte hashing, hash chains
+//! whose DE-vetoed candidates do not consume attempts, skip-stride over
+//! miss runs, covered-position insertion inside long matches — sampled
+//! except for deep chains without DE — and the minimal-staleness policy) in its simplest possible code, so
 //! any divergence introduced by the word-wise/batched implementations fails
 //! the property.
 
@@ -163,16 +163,18 @@ fn ref_compress(cfg: &MatcherConfig, input: &[u8]) -> SequenceBlock {
             });
             emitted.push((pos, pos + best_len));
             miss_run = 0;
-            // Covered-position insertion, sampled every other position for
-            // long matches.
-            let step = if best_len >= 8 { 2 } else { 1 };
+            // Covered-position insertion: DE and single-probe matchers
+            // sample long matches every other position; deep chains without
+            // DE insert every position.
+            let sampled = cfg.dependency_elimination || cfg.chain_depth <= 1;
+            let step = if sampled && best_len >= 8 { 2 } else { 1 };
             insert(&mut head, &mut prev, input, pos);
             let mut p = pos + 1;
             while p < pos + best_len {
                 insert(&mut head, &mut prev, input, p);
                 p += step;
             }
-            if !cfg.dependency_elimination && best_len >= 8 && best_len.is_multiple_of(2) {
+            if !cfg.dependency_elimination && sampled && best_len >= 8 && best_len.is_multiple_of(2) {
                 insert(&mut head, &mut prev, input, pos + best_len - 2);
             }
             pos += best_len;
@@ -453,6 +455,8 @@ fn configs() -> Vec<CompressorConfig> {
         small_blocks(CompressorConfig::byte_de()),
         small_blocks(CompressorConfig { strict_hwm: true, ..CompressorConfig::byte_de() }),
         small_blocks(CompressorConfig { chain_depth: 4, hash_bytes: 3, ..CompressorConfig::bit_de() }),
+        small_blocks(CompressorConfig { chain_depth: 8, ..CompressorConfig::bit() }),
+        small_blocks(CompressorConfig { chain_depth: 8, ..CompressorConfig::byte() }),
         CompressorConfig { sequences_per_sub_block: 1, ..small_blocks(CompressorConfig::bit()) },
     ];
     configs.extend(fast_region_edges());

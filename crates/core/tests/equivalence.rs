@@ -27,8 +27,8 @@ use gompresso_lz77::{Sequence, SequenceBlock};
 use gompresso_simt::{KernelCounters, Warp, WARP_SIZE};
 use proptest::prelude::*;
 
-// The decode-kernel cost constants of `gompresso-core`'s parallel Huffman
-// decoder, replicated so the reference charges identical counters.
+// The decode-kernel cost constants of `gompresso-core`'s warp model,
+// replicated so the reference charges identical counters.
 const INSTR_PER_SYMBOL: u64 = 10;
 const SUB_BLOCK_OVERHEAD_INSTR: u64 = 24;
 const TOKEN_STREAM_BYTES_PER_SEQ: u64 = 12;
@@ -84,7 +84,7 @@ fn decode_sub_block_reference(
 }
 
 /// The pre-rework parallel Huffman decode of one block, charging the same
-/// warp counters as `gompresso-core`'s `decode_bit_block`.
+/// warp counters as the decode kernel of `gompresso-core`'s `simulate`.
 fn decode_bit_block_reference(
     bit: &BitBlock,
     coder: &TokenCoder,

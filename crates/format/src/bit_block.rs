@@ -422,13 +422,12 @@ impl BitBlock {
         // Every sequence is at least one coded symbol (≥ 1 bit), so the
         // bitstream length caps how much a corrupt count can reserve.
         sequences.reserve((n_seq as usize).min(self.bitstream.len().saturating_mul(8)));
-        decode_sequences_checked(&mut r, n_seq, coder, lit_len_dec, offset_dec, sequences, literals)?;
-        Ok(())
+        decode_sequences_checked(&mut r, n_seq, coder, lit_len_dec, offset_dec, sequences, literals)
     }
 
     /// Decodes the sub-blocks in `sub_blocks` in one pass, appending their
     /// sequences and literal bytes to the caller's buffers in sub-block
-    /// order and pushing one [`SubBlockStats`] per sub-block.
+    /// order.
     ///
     /// Every sub-block owns an independent bitstream, which on the GPU one
     /// thread decodes (paper, Section III-B-1); the host walks them one
@@ -436,7 +435,7 @@ impl BitBlock {
     /// one's recorded size to its start. The result equals
     /// [`Self::decode_sub_block_into`] called on each sub-block in turn,
     /// errors included.
-    #[allow(clippy::too_many_arguments)] // decode tables, token-table cache and three output sinks
+    #[allow(clippy::too_many_arguments)] // decode tables, token-table cache and two output sinks
     pub fn decode_sub_blocks(
         &self,
         sub_blocks: Range<usize>,
@@ -446,7 +445,6 @@ impl BitBlock {
         scratch: &mut InterleaveScratch,
         sequences: &mut Vec<Sequence>,
         literals: &mut Vec<u8>,
-        stats: &mut Vec<SubBlockStats>,
     ) -> Result<()> {
         let available = self.sub_block_bits.len();
         if sub_blocks.is_empty() {
@@ -458,8 +456,7 @@ impl BitBlock {
         let mut start_bit = self.sub_block_bit_offset(sub_blocks.start)?;
         for sub in sub_blocks {
             let n_seq = self.sub_block_sequences(sub)?;
-            let literals_before = literals.len();
-            let matches = decode_sub_block(
+            decode_sub_block(
                 &self.bitstream,
                 start_bit,
                 n_seq,
@@ -470,17 +467,15 @@ impl BitBlock {
                 sequences,
                 literals,
             )?;
-            let literals_decoded = (literals.len() - literals_before) as u32;
-            stats.push(SubBlockStats { sequences: n_seq, matches, literals: literals_decoded });
             start_bit += u64::from(self.sub_block_bits[sub]);
         }
         Ok(())
     }
 
-    /// Forwards to [`Self::decode_sub_blocks`]; `S` and `_first_bit_offset`
-    /// are ignored. Kept only because the benchmark's stage replay calls it
-    /// by this name; it goes when the replay gives way to the stage ledger
-    /// (ROADMAP item 1).
+    /// Forwards to [`Self::decode_sub_blocks`]; `S`, `_first_bit_offset`
+    /// and `_stats` are ignored. Kept only because the benchmark's stage
+    /// replay calls it by this name; it goes when the replay gives way to
+    /// the stage ledger (ROADMAP item 1).
     #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn decode_sub_blocks_interleaved<const S: usize>(
@@ -494,7 +489,7 @@ impl BitBlock {
         scratch: &mut InterleaveScratch,
         sequences: &mut Vec<Sequence>,
         literals: &mut Vec<u8>,
-        stats: &mut Vec<SubBlockStats>,
+        _stats: &mut Vec<SubBlockStats>,
     ) -> Result<()> {
         self.decode_sub_blocks(
             first..first + count,
@@ -504,7 +499,6 @@ impl BitBlock {
             scratch,
             sequences,
             literals,
-            stats,
         )
     }
 
@@ -524,7 +518,6 @@ impl BitBlock {
             &mut InterleaveScratch::default(),
             &mut sequences,
             &mut literals,
-            &mut Vec::new(),
         )?;
         Ok(SequenceBlock { sequences, literals, uncompressed_len: self.uncompressed_len as usize })
     }
@@ -612,11 +605,11 @@ impl BitBlock {
     }
 }
 
-/// Per-sub-block tallies reported by [`BitBlock::decode_sub_blocks`].
+/// Per-sub-block tallies of a decoded block: the quantities the simulated
+/// Huffman decode kernel charges per lane (one sub-block per lane).
 ///
-/// These are exactly the quantities the simulated decode kernel charges per
-/// lane, so the driver can reproduce its lock-step counter accounting
-/// without re-walking the decoded sequences.
+/// [`SubBlockStats::of`] derives them from a sub-block's decoded sequences;
+/// the decoder itself reports none.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubBlockStats {
     /// Sequences the sub-block decoded to.
@@ -628,6 +621,16 @@ pub struct SubBlockStats {
 }
 
 impl SubBlockStats {
+    /// The tallies of one sub-block's decoded `sequences` (a chunk of
+    /// `sequences_per_sub_block` of them; the last may be short).
+    pub fn of(sequences: &[Sequence]) -> Self {
+        SubBlockStats {
+            sequences: sequences.len() as u32,
+            matches: sequences.iter().filter(|s| s.has_match()).count() as u32,
+            literals: sequences.iter().fold(0u32, |sum, s| sum.saturating_add(s.literal_len)),
+        }
+    }
+
     /// Coded symbols the sub-block contained: one per literal byte, one
     /// length-or-EOS symbol per sequence and one offset symbol per match.
     pub fn symbols(&self) -> u64 {
@@ -672,7 +675,7 @@ fn refill(data: &[u8], pos: &mut usize, acc: &mut u64, nbits: &mut u32) -> bool 
 }
 
 /// One-pass decode of the `n_seq` sequences of the sub-block starting at
-/// bit `start_bit` of `data`; returns how many of them carry a match.
+/// bit `start_bit` of `data`.
 ///
 /// The accumulator, byte cursor and bit count stay in locals, and one
 /// [`refill`] precedes every codeword. When fewer than 8 bytes remain,
@@ -690,12 +693,11 @@ fn decode_sub_block(
     offset_dec: &DecodeTable,
     sequences: &mut Vec<Sequence>,
     literals: &mut Vec<u8>,
-) -> Result<u32> {
+) -> Result<()> {
     let lit_mask = (1u64 << lit_len_dec.index_bits()) - 1;
     let off_mask = (1u64 << offset_dec.index_bits()) - 1;
     let mut pos = (start_bit / 8) as usize;
     let (mut acc, mut nbits) = (0u64, 0u32);
-    let mut matches = 0u32;
     let mut decoded = 0u32;
     // Where the checked walker resumes: the current sequence's first bit
     // and the literal count before it.
@@ -761,33 +763,23 @@ fn decode_sub_block(
                 let off_extra = (acc & ((1u64 << off_bits) - 1)) as u32;
                 acc >>= off_bits;
                 nbits -= u32::from(off_bits);
-                matches += 1;
                 (tables.check_offset(off_base + off_extra)?, match_len)
             };
             sequences.push(Sequence { literal_len, match_offset, match_len });
             decoded += 1;
         }
-        return Ok(matches);
+        return Ok(());
     }
 
     literals.truncate(resume.1);
     let mut r = BitReader::at_bit_offset(data, resume.0)?;
-    let tail_matches = decode_sequences_checked(
-        &mut r,
-        n_seq - decoded,
-        coder,
-        lit_len_dec,
-        offset_dec,
-        sequences,
-        literals,
-    )?;
-    Ok(matches + tail_matches)
+    decode_sequences_checked(&mut r, n_seq - decoded, coder, lit_len_dec, offset_dec, sequences, literals)
 }
 
 /// The checked per-sequence walk: decodes `n_seq` sequences from `r`,
-/// reporting EOF and truncation exactly, and returns how many carry a
-/// match. [`BitBlock::decode_sub_block_into`] is this walk over one
-/// sub-block; [`decode_sub_block`] finishes each sub-block's tail with it.
+/// reporting EOF and truncation exactly. [`BitBlock::decode_sub_block_into`]
+/// is this walk over one sub-block; [`decode_sub_block`] finishes each
+/// sub-block's tail with it.
 fn decode_sequences_checked(
     r: &mut BitReader<'_>,
     n_seq: u32,
@@ -796,12 +788,10 @@ fn decode_sequences_checked(
     offset_dec: &DecodeTable,
     sequences: &mut Vec<Sequence>,
     literals: &mut Vec<u8>,
-) -> Result<u32> {
-    let mut matches = 0u32;
+) -> Result<()> {
     for _ in 0..n_seq {
-        // A whole literal run decodes in one batched call that amortizes
-        // refill and EOF accounting per group of symbols; the symbol that
-        // ends the run is either EOS or a match-length symbol.
+        // The symbol that ends a literal run is either EOS or a
+        // match-length symbol.
         let (sym, literal_len) = lit_len_dec.decode_run(r, END_OF_SEQUENCES, literals)?;
         let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
             (0, 0)
@@ -813,12 +803,11 @@ fn decode_sequences_checked(
             let off_sym = offset_dec.decode(r)?;
             let off_bits = coder.offset_extra_bits(off_sym)?;
             let off_extra = r.read_bits(u32::from(off_bits))?;
-            matches += 1;
             (coder.decode_offset(off_sym, off_extra)?, match_len)
         };
         sequences.push(Sequence { literal_len, match_offset, match_len });
     }
-    Ok(matches)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -930,6 +919,42 @@ mod tests {
         }
         assert_eq!(sequences, block.sequences);
         assert_eq!(literals, block.literals);
+    }
+
+    #[test]
+    fn sub_block_stats_of_counts_each_chunk() {
+        let sequences = [
+            Sequence { literal_len: 3, match_offset: 2, match_len: 4 },
+            Sequence::literals_only(5),
+            Sequence { literal_len: 0, match_offset: 1, match_len: 9 },
+            Sequence { literal_len: 7, match_offset: 6, match_len: 3 },
+        ];
+        let stats: Vec<SubBlockStats> = sequences.chunks(3).map(SubBlockStats::of).collect();
+        assert_eq!(
+            stats,
+            [
+                SubBlockStats { sequences: 3, matches: 2, literals: 8 },
+                SubBlockStats { sequences: 1, matches: 1, literals: 7 },
+            ]
+        );
+        // One symbol per literal, one length-or-EOS symbol per sequence and
+        // one offset symbol per match.
+        assert_eq!(stats[0].symbols(), 8 + 3 + 2);
+        assert_eq!(SubBlockStats::of(&[]), SubBlockStats::default());
+
+        // Over a decoded block, one per sub-block, they account for every
+        // sequence, match and literal the block holds.
+        let input = b"tallies per sub-block, tallies per lane ".repeat(90);
+        let (block, bit) = encode_input(&input, 8);
+        let decoded = bit.decode_all(&coder()).unwrap();
+        let stats: Vec<SubBlockStats> = decoded.sequences.chunks(8).map(SubBlockStats::of).collect();
+        assert_eq!(stats.len(), bit.sub_block_count());
+        for (i, s) in stats.iter().enumerate() {
+            assert_eq!(s.sequences, bit.sub_block_sequences(i).unwrap());
+        }
+        assert_eq!(stats.iter().map(|s| s.literals as usize).sum::<usize>(), block.literals.len());
+        let matches = block.sequences.iter().filter(|s| s.has_match()).count();
+        assert_eq!(stats.iter().map(|s| s.matches as usize).sum::<usize>(), matches);
     }
 
     #[test]

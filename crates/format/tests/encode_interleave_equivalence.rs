@@ -1,14 +1,13 @@
-//! Block encoder edge cases ≡ what the interleaved decoder reads back.
+//! Block encoder edge cases ≡ what the block decoder reads back.
 //!
 //! `BitBlock::encode_with_scratch` emits the sub-blocks in order and records
-//! each one's bit size; the interleaved sub-block decoder finds every
-//! sub-block by those sizes alone. For empty and tiny blocks, and for one
+//! each one's bit size; `BitBlock::decode_sub_blocks` finds every sub-block
+//! by those sizes alone. For empty and tiny blocks, and for one
 //! `EncodeScratch` carried across blocks with very different histograms and
 //! sub-block shapes, the encoded block must equal an encode with a fresh
 //! scratch field for field, its sub-block bit sizes must account for the
-//! whole bitstream, and decoding it with `S` interleaved streams, for every
-//! `S` under test, must give back the exact sequences and literals that went
-//! in.
+//! whole bitstream, and decoding it must give back the exact sequences and
+//! literals that went in.
 
 use gompresso_format::token_code::TokenCoder;
 use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
@@ -23,30 +22,27 @@ fn match_block(input: &[u8]) -> SequenceBlock {
     Matcher::new(MatcherConfig::default()).compress(input)
 }
 
-/// Decodes every sub-block of `bit` in one interleaved call with `S` streams.
-fn interleaved_decode<const S: usize>(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>) {
+/// Decodes every sub-block of `bit` in one call.
+fn decode(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>) {
     let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
     let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
-    let (mut sequences, mut literals, mut stats) = (Vec::new(), Vec::new(), Vec::new());
-    bit.decode_sub_blocks_interleaved::<S>(
-        0,
-        bit.sub_block_count(),
-        0,
+    let (mut sequences, mut literals) = (Vec::new(), Vec::new());
+    bit.decode_sub_blocks(
+        0..bit.sub_block_count(),
         &coder(),
         &lit_dec,
         &off_dec,
         &mut InterleaveScratch::default(),
         &mut sequences,
         &mut literals,
-        &mut stats,
     )
     .unwrap();
     (sequences, literals)
 }
 
 /// Encodes `block` with the caller's (possibly reused) `scratch` and checks
-/// the result against a fresh-scratch encode, the sub-block layout, and an
-/// interleaved decode at every stream count under test.
+/// the result against a fresh-scratch encode, the sub-block layout, and a
+/// decode.
 fn check_encode(block: &SequenceBlock, per_sub_block: u32, scratch: &mut EncodeScratch, ctx: &str) {
     let coder = coder();
     let bit = BitBlock::encode_with_scratch(block, &coder, per_sub_block, 10, scratch).unwrap();
@@ -63,14 +59,9 @@ fn check_encode(block: &SequenceBlock, per_sub_block: u32, scratch: &mut EncodeS
     let total_bits: u64 = bit.sub_block_bits.iter().map(|&b| u64::from(b)).sum();
     assert_eq!(bit.bitstream.len() as u64, total_bits.div_ceil(8), "{ctx}: sub-block bits cover the stream");
 
-    macro_rules! check_streams {
-        ($($s:literal),+) => {$(
-            let (sequences, literals) = interleaved_decode::<$s>(&bit);
-            assert_eq!(sequences, block.sequences, "{ctx}: S = {}: sequences", $s);
-            assert_eq!(literals, block.literals, "{ctx}: S = {}: literals", $s);
-        )+};
-    }
-    check_streams!(1, 2, 3, 4, 8);
+    let (sequences, literals) = decode(&bit);
+    assert_eq!(sequences, block.sequences, "{ctx}: sequences");
+    assert_eq!(literals, block.literals, "{ctx}: literals");
 }
 
 #[test]

@@ -1,19 +1,17 @@
 //! One-pass block decode ≡ checked sub-block walk.
 //!
-//! `BitBlock::decode_sub_blocks` (reached here also through the
-//! `decode_sub_blocks_interleaved::<S>` forwarder, whose `S` is ignored)
-//! must append exactly the sequences and literals that the checked
-//! one-sub-block-at-a-time walk (`decode_sub_block_into`) produces, in the
-//! same order, whether it decodes a block in one call or in groups of
-//! sub-blocks, and its per-sub-block stats must agree with a re-walk of the
-//! decoded sequences. On damaged blocks — bitstreams cut short, shorter
-//! than one 8-byte refill, or corrupted in the middle — both must return
-//! the same `Result`, errors included, and so must a hand-built block with
-//! 24-bit codes and the widest length and offset extras a header allows.
+//! `BitBlock::decode_sub_blocks` must append exactly the sequences and
+//! literals that the checked one-sub-block-at-a-time walk
+//! (`decode_sub_block_into`) produces, in the same order, whether it
+//! decodes a block in one call or in groups of 32 sub-blocks. On damaged
+//! blocks — bitstreams cut short, shorter than one 8-byte refill, or
+//! corrupted in the middle — both must return the same `Result`, errors
+//! included, and so must a hand-built block with 24-bit codes and the
+//! widest length and offset extras a header allows.
 
 use gompresso_bitstream::BitWriter;
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES};
-use gompresso_format::{BitBlock, FormatError, InterleaveScratch, SubBlockStats};
+use gompresso_format::{BitBlock, FormatError, InterleaveScratch};
 use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable};
 use gompresso_lz77::{Matcher, MatcherConfig, Sequence};
 use proptest::prelude::*;
@@ -22,36 +20,29 @@ fn coder() -> TokenCoder {
     TokenCoder::new(3, 64, 8 * 1024).unwrap()
 }
 
-/// Decodes the whole block with `S` interleaved streams, group-at-a-time
-/// like the core driver (groups of 32 sub-blocks, incremented bit cursor).
-fn interleaved_decode<const S: usize>(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>, Vec<SubBlockStats>) {
+/// Decodes the whole block with one `decode_sub_blocks` call per range of
+/// `group` sub-blocks, all appending to the same buffers.
+fn decode_in_groups(bit: &BitBlock, group: usize) -> (Vec<Sequence>, Vec<u8>) {
     let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
     let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
     let mut scratch = InterleaveScratch::default();
     let mut sequences = Vec::new();
     let mut literals = Vec::new();
-    let mut stats = Vec::new();
-    let mut bit_cursor = 0u64;
     let n = bit.sub_block_count();
-    for group_start in (0..n).step_by(32) {
-        let count = 32.min(n - group_start);
-        bit.decode_sub_blocks_interleaved::<S>(
-            group_start,
-            count,
-            bit_cursor,
+    for start in (0..n).step_by(group) {
+        let range = start..(start + group).min(n);
+        bit.decode_sub_blocks(
+            range,
             &coder(),
             &lit_dec,
             &off_dec,
             &mut scratch,
             &mut sequences,
             &mut literals,
-            &mut stats,
         )
         .unwrap();
-        bit_cursor +=
-            bit.sub_block_bits[group_start..group_start + count].iter().map(|&b| u64::from(b)).sum::<u64>();
     }
-    (sequences, literals, stats)
+    (sequences, literals)
 }
 
 fn sequential_decode(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>) {
@@ -65,35 +56,12 @@ fn sequential_decode(bit: &BitBlock) -> (Vec<Sequence>, Vec<u8>) {
     (sequences, literals)
 }
 
-fn check_all_stream_counts(bit: &BitBlock) {
-    let (ref_seqs, ref_lits) = sequential_decode(bit);
-    // Per-sub-block ground truth for the stats.
-    let mut expected_stats = Vec::new();
-    let mut seq_cursor = 0usize;
-    for i in 0..bit.sub_block_count() {
-        let n = bit.sub_block_sequences(i).unwrap() as usize;
-        let slice = &ref_seqs[seq_cursor..seq_cursor + n];
-        expected_stats.push(SubBlockStats {
-            sequences: n as u32,
-            matches: slice.iter().filter(|s| s.has_match()).count() as u32,
-            literals: slice.iter().map(|s| s.literal_len).sum(),
-        });
-        seq_cursor += n;
-    }
-
-    macro_rules! check {
-        ($s:literal) => {{
-            let (seqs, lits, stats) = interleaved_decode::<$s>(bit);
-            assert_eq!(seqs, ref_seqs, "S = {}", $s);
-            assert_eq!(lits, ref_lits, "S = {}", $s);
-            assert_eq!(stats, expected_stats, "S = {}", $s);
-        }};
-    }
-    check!(1);
-    check!(2);
-    check!(3);
-    check!(4);
-    check!(8);
+/// The whole block in one call and in ranges of 32 sub-blocks both give
+/// the checked walk's sequences and literals.
+fn check_ranges(bit: &BitBlock) {
+    let expected = sequential_decode(bit);
+    assert_eq!(decode_in_groups(bit, bit.sub_block_count().max(1)), expected, "whole block");
+    assert_eq!(decode_in_groups(bit, 32), expected, "groups of 32 sub-blocks");
 }
 
 fn encode(input: &[u8], per_sub_block: u32) -> BitBlock {
@@ -105,14 +73,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random compressible inputs across sub-block granularities, including
-    /// granularities that leave sub-block counts not divisible by any S.
+    /// granularities that leave more than 32 sub-blocks in a partial group.
     #[test]
     fn interleaved_matches_sequential(
         input in proptest::collection::vec(proptest::collection::vec(0u8..12, 1..50), 1..80)
             .prop_map(|chunks| chunks.concat()),
         per_sub_block in prop_oneof![Just(1u32), Just(2), Just(3), Just(5), Just(8), Just(16)],
     ) {
-        check_all_stream_counts(&encode(&input, per_sub_block));
+        check_ranges(&encode(&input, per_sub_block));
     }
 
     /// Incompressible inputs: literal-heavy single-sequence sub-blocks.
@@ -121,20 +89,19 @@ proptest! {
         input in proptest::collection::vec(any::<u8>(), 0..2000),
         per_sub_block in prop_oneof![Just(1u32), Just(4), Just(16)],
     ) {
-        check_all_stream_counts(&encode(&input, per_sub_block));
+        check_ranges(&encode(&input, per_sub_block));
     }
 }
 
 #[test]
 fn sub_block_counts_not_divisible_by_stream_count() {
-    // Force specific sub-block counts around the chunk boundaries: 1, S-1,
-    // S, S+1, 2S+3 sub-blocks for the S values under test.
+    // Force specific small sub-block counts, odd ones included.
     let input = b"the quick brown fox jumps over the lazy dog, again and again and again. ".repeat(60);
     let block = Matcher::new(MatcherConfig::default()).compress(&input);
     for target_sub_blocks in [1usize, 2, 3, 4, 5, 7, 9, 11] {
         let per = (block.sequences.len().div_ceil(target_sub_blocks)).max(1) as u32;
         let bit = BitBlock::encode(&block, &coder(), per, 10).unwrap();
-        check_all_stream_counts(&bit);
+        check_ranges(&bit);
     }
 }
 
@@ -145,21 +112,9 @@ fn empty_block_and_empty_range_are_noops() {
     let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
     let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
     let mut scratch = InterleaveScratch::default();
-    let (mut seqs, mut lits, mut stats) = (Vec::new(), Vec::new(), Vec::new());
-    bit.decode_sub_blocks_interleaved::<4>(
-        0,
-        0,
-        0,
-        &coder(),
-        &lit_dec,
-        &off_dec,
-        &mut scratch,
-        &mut seqs,
-        &mut lits,
-        &mut stats,
-    )
-    .unwrap();
-    assert!(seqs.is_empty() && lits.is_empty() && stats.is_empty());
+    let (mut seqs, mut lits) = (Vec::new(), Vec::new());
+    bit.decode_sub_blocks(0..0, &coder(), &lit_dec, &off_dec, &mut scratch, &mut seqs, &mut lits).unwrap();
+    assert!(seqs.is_empty() && lits.is_empty());
 }
 
 #[test]
@@ -168,20 +123,10 @@ fn out_of_range_interleaved_decode_is_rejected() {
     let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
     let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
     let mut scratch = InterleaveScratch::default();
-    let (mut seqs, mut lits, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut seqs, mut lits) = (Vec::new(), Vec::new());
     let n = bit.sub_block_count();
-    let err = bit.decode_sub_blocks_interleaved::<2>(
-        0,
-        n + 1,
-        0,
-        &coder(),
-        &lit_dec,
-        &off_dec,
-        &mut scratch,
-        &mut seqs,
-        &mut lits,
-        &mut stats,
-    );
+    let err =
+        bit.decode_sub_blocks(0..n + 1, &coder(), &lit_dec, &off_dec, &mut scratch, &mut seqs, &mut lits);
     assert!(err.is_err());
 }
 
@@ -196,21 +141,11 @@ fn corrupted_bitstream_interleaved_errors_not_panics() {
     let lit_dec = DecodeTable::new(&bit.lit_len_code).unwrap();
     let off_dec = DecodeTable::new(&bit.offset_code).unwrap();
     let mut scratch = InterleaveScratch::default();
-    let (mut seqs, mut lits, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut seqs, mut lits) = (Vec::new(), Vec::new());
     // Either an error or a structurally different decode is fine; a panic
     // is not.
-    let _ = bit.decode_sub_blocks_interleaved::<4>(
-        0,
-        bit.sub_block_count(),
-        0,
-        &coder(),
-        &lit_dec,
-        &off_dec,
-        &mut scratch,
-        &mut seqs,
-        &mut lits,
-        &mut stats,
-    );
+    let n = bit.sub_block_count();
+    let _ = bit.decode_sub_blocks(0..n, &coder(), &lit_dec, &off_dec, &mut scratch, &mut seqs, &mut lits);
 }
 
 type Decoded = Result<(Vec<Sequence>, Vec<u8>), FormatError>;
@@ -233,7 +168,7 @@ impl Tables {
 
 /// The whole block through the one-pass decoder, in one call.
 fn one_pass(bit: &BitBlock, coder: &TokenCoder, t: &Tables) -> Decoded {
-    let (mut sequences, mut literals, mut stats) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut sequences, mut literals) = (Vec::new(), Vec::new());
     bit.decode_sub_blocks(
         0..bit.sub_block_count(),
         coder,
@@ -242,7 +177,6 @@ fn one_pass(bit: &BitBlock, coder: &TokenCoder, t: &Tables) -> Decoded {
         &mut InterleaveScratch::default(),
         &mut sequences,
         &mut literals,
-        &mut stats,
     )?;
     Ok((sequences, literals))
 }

@@ -151,61 +151,17 @@ impl DecodeTable {
         Ok((symbol, len))
     }
 
-    /// Decodes one symbol entirely from the reader's cached bits.
-    ///
-    /// The caller must have verified `r.cached_bits() >= self.index_bits()`
-    /// (checked by a debug assertion): under that invariant the window is
-    /// backed by real stream bits, so the decoded length can neither exceed
-    /// availability nor mask EOF — no refill, no width bookkeeping, just the
-    /// packed lookup and an invalid-prefix check. This is the inner step of
-    /// the batched [`Self::decode_run`].
-    #[inline]
-    pub fn decode_cached(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        debug_assert!(r.cached_bits() >= u32::from(self.index_bits));
-        let window = r.peek_cached(u32::from(self.index_bits));
-        let entry = self.entries[window as usize];
-        let len = entry & 0xFF;
-        if len == 0 {
-            return Err(HuffmanError::InvalidCodeword { bits: window });
-        }
-        r.consume_peeked(len);
-        Ok((entry >> 8) as u16)
-    }
-
     /// Decodes a run of symbols below `boundary`, appending each (as a byte)
     /// to `sink`, and returns the first symbol `>= boundary` together with
     /// the number of bytes appended.
     ///
-    /// This is the batched form of [`Self::decode`] for byte-valued runs
-    /// (literal strings in the token grammar, where `boundary` is the
-    /// end-of-sequences symbol): while the reader's accumulator holds at
-    /// least one full `CWL`-bit window of real stream bits, symbols are
-    /// decoded with no EOF bookkeeping at all — one cached peek, one packed
-    /// lookup, one unchecked consume per symbol — and the refill plus EOF
-    /// accounting are amortized over the whole group. Within `CWL` bits of
-    /// the stream tail it falls back to the per-symbol checked path, so
-    /// truncation errors are reported exactly as [`Self::decode`] would.
+    /// This is [`Self::decode`] in a loop, for byte-valued runs (literal
+    /// strings in the token grammar, where `boundary` is the
+    /// end-of-sequences symbol); errors are [`Self::decode`]'s own.
     #[inline]
     pub fn decode_run(&self, r: &mut BitReader<'_>, boundary: u16, sink: &mut Vec<u8>) -> Result<(u16, u32)> {
-        let width = u32::from(self.index_bits);
         let mut count = 0u32;
         loop {
-            // Fast group: every window is backed by real stream bits, so
-            // per-symbol EOF bookkeeping drops out (see `decode_cached`).
-            while r.cached_bits() >= width {
-                let symbol = self.decode_cached(r)?;
-                if symbol >= boundary {
-                    return Ok((symbol, count));
-                }
-                sink.push(symbol as u8);
-                count += 1;
-            }
-            r.refill();
-            if r.cached_bits() >= width {
-                continue;
-            }
-            // Tail: fewer bits than a full window remain; the checked path
-            // zero-fills the window and reports truncation precisely.
             let (symbol, _) = self.decode_with_len(r)?;
             if symbol >= boundary {
                 return Ok((symbol, count));

@@ -28,35 +28,55 @@ pub struct DependencyStats {
 
 /// Per-sequence positions needed for dependency analysis.
 struct Placement {
-    /// Output position where the back-reference starts writing.
+    /// Output range `[write_start, write_end)` the back-reference writes.
     write_start: usize,
+    write_end: usize,
     /// Output range `[src_start, src_end)` the back-reference reads, if any.
     src: Option<(usize, usize)>,
 }
 
-fn placements(block: &SequenceBlock) -> Vec<Placement> {
+impl Placement {
+    /// The overlap rule: whether this sequence's back-reference writes any
+    /// byte of the range `src` another back-reference reads.
+    fn writes_into(&self, (src_start, src_end): (usize, usize)) -> bool {
+        self.src.is_some() && src_start < self.write_end && src_end > self.write_start
+    }
+}
+
+/// Places every sequence of `block`, or reports the first back-reference
+/// that reaches before the block start.
+fn placements(block: &SequenceBlock) -> Result<Vec<Placement>> {
     let mut out = Vec::with_capacity(block.sequences.len());
     let mut pos = 0usize;
-    for seq in &block.sequences {
+    for (sequence, seq) in block.sequences.iter().enumerate() {
         pos += seq.literal_len as usize;
         let write_start = pos;
-        let src = if seq.match_len > 0 {
-            let start = write_start - seq.match_offset as usize;
-            Some((start, start + seq.match_len as usize))
+        let (offset, len) = (seq.match_offset as usize, seq.match_len as usize);
+        let src = if len > 0 {
+            let start = write_start.checked_sub(offset).ok_or(Lz77Error::OffsetBeforeStart {
+                sequence,
+                position: write_start,
+                offset,
+            })?;
+            Some((start, start + len))
         } else {
             None
         };
-        pos += seq.match_len as usize;
-        out.push(Placement { write_start, src });
+        pos += len;
+        out.push(Placement { write_start, write_end: pos, src });
     }
-    out
+    Ok(out)
 }
 
 /// Computes dependency statistics for `block` when decompressed in groups of
 /// `group_size` sequences per warp.
+///
+/// A block with a back-reference reaching before its start has no
+/// dependency structure to measure (`verify_de_invariant` reports it as
+/// [`Lz77Error::OffsetBeforeStart`]); its statistics are all zero.
 pub fn dependency_stats(block: &SequenceBlock, group_size: usize) -> DependencyStats {
     assert!(group_size >= 1);
-    let placed = placements(block);
+    let placed = placements(block).unwrap_or_default();
     let mut max_depth = 0u32;
     let mut depth_sum = 0u64;
     let mut dependent = 0usize;
@@ -69,22 +89,11 @@ pub fn dependency_stats(block: &SequenceBlock, group_size: usize) -> DependencyS
         // back-reference dependencies ending at sequence i.
         let mut depth = vec![0u32; group.len()];
         for i in 0..group.len() {
-            let Some((src_start, src_end)) = group[i].src else { continue };
+            let Some(src) = group[i].src else { continue };
             total += 1;
             let mut d = 0u32;
             for (j, other) in group.iter().enumerate().take(i) {
-                let Some(_) = other.src else { continue };
-                let write_start = other.write_start;
-                let write_end = if j + 1 < group.len() {
-                    // The other's back-reference output ends where it stops
-                    // writing match bytes; that is the next sequence's
-                    // literal start which we can recover from src-independent
-                    // geometry: write_start + match_len.
-                    other_write_end(group, j)
-                } else {
-                    other_write_end(group, j)
-                };
-                if src_start < write_end && src_end > write_start {
+                if other.writes_into(src) {
                     d = d.max(depth[j] + 1);
                 }
             }
@@ -106,14 +115,6 @@ pub fn dependency_stats(block: &SequenceBlock, group_size: usize) -> DependencyS
     }
 }
 
-fn other_write_end(group: &[Placement], j: usize) -> usize {
-    // A back-reference writes starting at write_start; its length is the
-    // distance to where the source range says it stops. Recover it from the
-    // source span (same length).
-    let (s, e) = group[j].src.expect("caller checked src is present");
-    group[j].write_start + (e - s)
-}
-
 /// Maximum same-group nesting depth of `block` (see [`dependency_stats`]).
 pub fn max_nesting_depth(block: &SequenceBlock, group_size: usize) -> u32 {
     dependency_stats(block, group_size).max_depth
@@ -122,24 +123,21 @@ pub fn max_nesting_depth(block: &SequenceBlock, group_size: usize) -> u32 {
 /// Verifies the Dependency Elimination invariant: no back-reference may read
 /// bytes written by another back-reference of the same warp group.
 ///
-/// Returns the first violation found, if any.
+/// Returns the first violation found, if any, or
+/// [`Lz77Error::OffsetBeforeStart`] for a back-reference that reaches
+/// before the block start.
 pub fn verify_de_invariant(block: &SequenceBlock, group_size: usize) -> Result<()> {
     assert!(group_size >= 1);
-    let placed = placements(block);
+    let placed = placements(block)?;
     for (g, group) in placed.chunks(group_size).enumerate() {
         for i in 0..group.len() {
-            let Some((src_start, src_end)) = group[i].src else { continue };
+            let Some(src) = group[i].src else { continue };
             for (j, other) in group.iter().enumerate() {
-                if i == j || other.src.is_none() {
-                    continue;
-                }
-                let write_start = other.write_start;
-                let write_end = other_write_end(group, j);
-                if src_start < write_end && src_end > write_start {
+                if i != j && other.writes_into(src) {
                     return Err(Lz77Error::DependencyViolation {
                         sequence: g * group_size + i,
                         group_start: group[0].write_start,
-                        read_end: src_end,
+                        read_end: src.1,
                     });
                 }
             }
@@ -242,6 +240,21 @@ mod tests {
             Err(Lz77Error::DependencyViolation { sequence, .. }) => assert!(sequence >= 1),
             other => panic!("expected violation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn reference_before_the_block_start_is_reported_not_a_panic() {
+        let block = SequenceBlock {
+            sequences: vec![Sequence { literal_len: 1, match_offset: 10, match_len: 4 }],
+            literals: b"a".to_vec(),
+            uncompressed_len: 5,
+        };
+        assert_eq!(
+            verify_de_invariant(&block, 32),
+            Err(Lz77Error::OffsetBeforeStart { sequence: 0, position: 1, offset: 10 })
+        );
+        assert_eq!(dependency_stats(&block, 32).total_refs, 0);
+        assert_eq!(max_nesting_depth(&block, 32), 0);
     }
 
     #[test]
