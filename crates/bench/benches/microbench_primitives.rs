@@ -1,12 +1,12 @@
-//! Micro-benchmarks of the substrates: warp primitives, Huffman coding and
-//! the LZ77 matcher. Not a paper figure, but useful for tracking regressions
-//! in the pieces every experiment depends on.
+//! Micro-benchmarks of the substrates: warp primitives, Huffman coding, the
+//! byte-block decoder and the LZ77 matcher. Not a paper figure, but useful
+//! for tracking regressions in the pieces every experiment depends on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gompresso_bench::wikipedia_data;
-use gompresso_bitstream::{BitReader, BitWriter};
+use gompresso_bench::{matrix_data, wikipedia_data};
+use gompresso_bitstream::{BitReader, BitWriter, ByteReader, ByteWriter};
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES};
-use gompresso_format::{BitBlock, EncodeScratch, InterleaveScratch};
+use gompresso_format::{BitBlock, ByteBlock, ByteBlockView, EncodeScratch, InterleaveScratch};
 use gompresso_huffman::{
     code_lengths, limited_code_lengths, CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters,
 };
@@ -366,6 +366,40 @@ fn bench_sub_block_decode(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_byte_block(c: &mut Criterion) {
+    // The byte-block body before and after fusion, over a serialized 1 MiB
+    // `byte_de` matrix block: copy the stream out of the payload, decode it
+    // into sequences, then execute them; against one pass from the borrowed
+    // payload straight into the output.
+    let data = matrix_data(1 << 20);
+    let block = Matcher::new(MatcherConfig::gompresso_de()).compress(&data);
+    let mut w = ByteWriter::new();
+    ByteBlock::encode(&block).unwrap().serialize(&mut w);
+    let payload = w.finish();
+    let mut out = vec![0u8; data.len()];
+
+    let mut group = c.benchmark_group("micro_byte_block");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.sample_size(10);
+    group.bench_function("decode_then_execute_1mib", |b| {
+        let mut sequences = SequenceBlock::new();
+        b.iter(|| {
+            let byte = ByteBlock::deserialize(&mut ByteReader::new(&payload)).unwrap();
+            byte.decode_into(&mut sequences).unwrap();
+            decompress_block_into(&sequences, &mut out).unwrap()
+        });
+    });
+    group.bench_function("fused_1mib", |b| {
+        b.iter(|| {
+            let view = ByteBlockView::parse(&mut ByteReader::new(&payload)).unwrap();
+            view.decompress_into(&mut out).unwrap();
+            out.len()
+        });
+    });
+    assert_eq!(out, data);
+    group.finish();
+}
+
 fn bench_block_encode(c: &mut Criterion) {
     // The production block encoder (both passes) over a realistic 1 MiB
     // block, with the scratch warm as it is on a worker.
@@ -451,6 +485,7 @@ criterion_group!(
     bench_huffman,
     bench_wild_copy,
     bench_sub_block_decode,
+    bench_byte_block,
     bench_block_encode,
     bench_lut_layout,
     bench_matcher

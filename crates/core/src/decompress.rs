@@ -19,13 +19,18 @@
 //! experiments ([`StrategySelection::Force`], the paper's Figure 9a sweep).
 //!
 //! This module is the host decoder. [`Decompressor::decompress`] (and the
-//! stream, range and salvage decoders built on the same block body) parses
-//! each block, entropy-decodes its sequences and runs them through the
-//! wide-copy executor of `gompresso-lz77`, which is also the one structural
-//! validator of decoded sequences; `validate_de` then applies
-//! [`gompresso_lz77::verify_de_invariant`]. `simulate` shares the parse,
-//! the entropy decode, the execution and the DE check, so both paths accept
-//! and reject the same blocks with the same errors.
+//! stream, range and salvage decoders built on the same block body) decodes
+//! each byte block in one pass from its borrowed payload straight into the
+//! block's output slice ([`ByteBlockView::decompress_into`]). Bit blocks,
+//! byte blocks under the DE check and any byte block whose fused pass
+//! fails take the sequence path: parse, entropy-decode the sequences, run
+//! them through the wide-copy executor of `gompresso-lz77` — the one
+//! structural validator of decoded sequences, whose per-sequence step the
+//! fused pass shares — and, under `validate_de`, apply
+//! [`gompresso_lz77::verify_de_invariant`]. Every reported error comes from
+//! the sequence path. `simulate` shares it too (parse, entropy decode,
+//! execution and the DE check), so both accept and reject the same blocks
+//! with the same errors.
 
 use crate::error::invalid_field;
 use crate::stats::DecompressionReport;
@@ -33,7 +38,8 @@ use crate::strategy::{ResolutionStrategy, StrategySelection};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::{
-    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, CompressedFile, EncodingMode, InterleaveScratch,
+    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, ByteBlockView, CompressedFile, EncodingMode,
+    InterleaveScratch,
 };
 use gompresso_huffman::DecodeTable;
 use gompresso_lz77::{SequenceBlock, GROUP_SIZE};
@@ -238,7 +244,7 @@ pub(crate) fn with_decoded_block<T>(
                 Some(decode_bit_block(&BitBlock::deserialize(&mut r)?, coder, seq_block, tokens)?)
             }
             EncodingMode::Byte => {
-                ByteBlock::deserialize(&mut r)?.decode_into(seq_block)?;
+                ByteBlockView::parse(&mut r)?.decode_into(seq_block)?;
                 None
             }
         };
@@ -288,13 +294,20 @@ pub(crate) fn verify_block_checksum(block: u64, stored: Option<u64>, dst: &[u8])
 }
 
 /// Decodes one admitted block payload into `dst` under the block's recorded
-/// config, reusing the per-worker decode scratch: parse, entropy decode,
-/// size check, sequence execution, the DE check when `validate_de` applies,
-/// then — unless checksum verification is disabled — the stored content
-/// checksum. The one per-block decode body of the in-memory
+/// config, then — unless checksum verification is disabled — verifies the
+/// stored content checksum. The one per-block decode body of the in-memory
 /// [`Decompressor`], the streaming workers in [`crate::stream`], the
 /// random-access reader and salvage, so every path applies identical
 /// resolution strategies and validation.
+///
+/// A byte block decodes in one pass from its borrowed payload straight
+/// into `dst` ([`ByteBlockView::decompress_into`]), unless the DE check
+/// applies, which needs its sequences. Everything else, and a byte block
+/// whose fused pass fails, takes the sequence path: parse and entropy
+/// decode into the per-worker scratch, size check, execution and the DE
+/// check. The fused pass accepts exactly what the sequence path accepts,
+/// so a failing block pays one more decode and reports the sequence path's
+/// error.
 pub(crate) fn decompress_block_checked(
     config: &DecompressorConfig,
     block: &BlockConfig,
@@ -305,9 +318,16 @@ pub(crate) fn decompress_block_checked(
     dst: &mut [u8],
 ) -> Result<()> {
     let check_de = config.checks_de(config.strategy.resolve(block));
-    with_decoded_block(block, coder, payload, dst.len(), |seqs, _| {
-        execute_block(seqs, check_de, block_index, dst)
-    })?;
+    let fused = block.mode == EncodingMode::Byte
+        && !check_de
+        && ByteBlockView::parse(&mut ByteReader::new(payload))
+            .and_then(|view| view.decompress_into(dst))
+            .is_ok();
+    if !fused {
+        with_decoded_block(block, coder, payload, dst.len(), |seqs, _| {
+            execute_block(seqs, check_de, block_index, dst)
+        })?;
+    }
     if config.verify_checksums {
         verify_block_checksum(block_index as u64, checksum, dst)?;
     }

@@ -46,7 +46,7 @@ pub mod token_code;
 pub use bit_block::{BitBlock, EncodeScratch, InterleaveScratch, SubBlockStats};
 pub use block_config::{BlockConfig, ResolutionStrategy, BLOCK_CONFIG_LEN};
 pub use block_index::{parse_stream_frame_head, stream_frame_layout, BlockEntry, BlockIndex, FrameLayout};
-pub use byte_block::ByteBlock;
+pub use byte_block::{ByteBlock, ByteBlockView};
 pub use error::FormatError;
 pub use file::{BlockPayload, CompressedFile};
 pub use hash::{content_checksum, xxh64, CHECKSUM_SEED};

@@ -1,15 +1,18 @@
 //! Sequential sequence execution.
 //!
 //! [`decompress_block_into`] is the host hot path: it walks the sequences in
-//! order and moves literals and back-references with the wide-copy kernels
-//! of [`crate::copy`] (8/16-byte chunks, wild overshoot inside the block's
+//! order and runs each through [`execute_sequence`], which checks it and
+//! moves its literals and back-reference with the wide-copy kernels of
+//! [`crate::copy`] (8/16-byte chunks, wild overshoot inside the block's
 //! disjoint output slice, pattern widening for offsets 1–7, exact scalar
-//! paths near the slice end). [`decompress_block_reference`] retains the
-//! original byte-at-a-time walk as the executable ground truth the property
-//! suites and microbenchmarks pit the wide kernels against.
+//! paths near the slice end). The fused byte-block decoder of
+//! `gompresso-format` runs the same step on each token it parses, with the
+//! block's payload as the literal source. [`decompress_block_reference`]
+//! retains the original byte-at-a-time walk as the executable ground truth
+//! the property suites and microbenchmarks pit the wide kernels against.
 
 use crate::copy::{copy_literals, copy_match};
-use crate::sequence::SequenceBlock;
+use crate::sequence::{Sequence, SequenceBlock};
 use crate::{Lz77Error, Result};
 
 /// Decompresses a sequence block into its original bytes.
@@ -38,46 +41,68 @@ pub fn decompress_block_into(block: &SequenceBlock, out: &mut [u8]) -> Result<us
         return Err(Lz77Error::LengthMismatch { declared: block.uncompressed_len, produced: out.len() });
     }
     let mut cursor = 0usize;
-    let mut literal_cursor = 0usize;
-
-    for (idx, seq) in block.sequences.iter().enumerate() {
-        let lit_len = seq.literal_len as usize;
-        let lit_end = literal_cursor + lit_len;
-        if lit_end > block.literals.len() {
-            return Err(Lz77Error::LiteralOverrun {
-                sequence: idx,
-                requested: lit_end,
-                available: block.literals.len(),
-            });
-        }
-        if cursor + lit_len + seq.match_len as usize > out.len() {
-            return Err(Lz77Error::LengthMismatch {
-                declared: block.uncompressed_len,
-                produced: cursor + lit_len + seq.match_len as usize,
-            });
-        }
-        copy_literals(out, cursor, &block.literals, literal_cursor, lit_len);
-        cursor += lit_len;
-        literal_cursor = lit_end;
-
-        let match_len = seq.match_len as usize;
-        if match_len > 0 {
-            let offset = seq.match_offset as usize;
-            if offset == 0 {
-                return Err(Lz77Error::ZeroOffset { sequence: idx });
-            }
-            if offset > cursor {
-                return Err(Lz77Error::OffsetBeforeStart { sequence: idx, position: cursor, offset });
-            }
-            copy_match(out, cursor, offset, match_len);
-            cursor += match_len;
-        }
+    let mut literal_pos = 0usize;
+    for (index, seq) in block.sequences.iter().enumerate() {
+        cursor = execute_sequence(out, cursor, &block.literals, literal_pos, seq, index)?;
+        literal_pos += seq.literal_len as usize;
     }
-
     if cursor != block.uncompressed_len {
         return Err(Lz77Error::LengthMismatch { declared: block.uncompressed_len, produced: cursor });
     }
     Ok(cursor)
+}
+
+/// Executes sequence `index` of a block at output position `cursor`: copies
+/// its literal run from `literals[literal_pos..]`, then its back-reference,
+/// and returns the output position after it.
+///
+/// The one per-sequence step of [`decompress_block_into`] and of the fused
+/// byte-block decoder, which passes the block's encoded payload as
+/// `literals`. Before it writes, it rejects, in this order: a literal run
+/// past the end of `literals` ([`Lz77Error::LiteralOverrun`]), a sequence
+/// that would write past the end of `out`
+/// ([`Lz77Error::LengthMismatch`], declaring `out.len()`), a zero offset and
+/// an offset reaching before the block start. Wild copies may scribble up
+/// to [`crate::copy::WILD_COPY_MARGIN`] bytes past the sequence's end, into
+/// bytes a later sequence rewrites.
+#[inline]
+pub fn execute_sequence(
+    out: &mut [u8],
+    cursor: usize,
+    literals: &[u8],
+    literal_pos: usize,
+    seq: &Sequence,
+    index: usize,
+) -> Result<usize> {
+    let lit_len = seq.literal_len as usize;
+    let match_len = seq.match_len as usize;
+    let lit_end = literal_pos + lit_len;
+    if lit_end > literals.len() {
+        return Err(Lz77Error::LiteralOverrun {
+            sequence: index,
+            requested: lit_end,
+            available: literals.len(),
+        });
+    }
+    if cursor + lit_len + match_len > out.len() {
+        return Err(Lz77Error::LengthMismatch {
+            declared: out.len(),
+            produced: cursor + lit_len + match_len,
+        });
+    }
+    copy_literals(out, cursor, literals, literal_pos, lit_len);
+    let cursor = cursor + lit_len;
+    if match_len > 0 {
+        let offset = seq.match_offset as usize;
+        if offset == 0 {
+            return Err(Lz77Error::ZeroOffset { sequence: index });
+        }
+        if offset > cursor {
+            return Err(Lz77Error::OffsetBeforeStart { sequence: index, position: cursor, offset });
+        }
+        copy_match(out, cursor, offset, match_len);
+    }
+    Ok(cursor + match_len)
 }
 
 /// Byte-at-a-time reference decompressor.

@@ -17,9 +17,10 @@
 //!   position completed before the current group of 32 sequences), plus the
 //!   "minimal staleness" hash-replacement policy, so decompression never
 //!   stalls on same-warp nested back-references,
-//! * the wide-copy sequence executor ([`decompress_block_into`] over the
-//!   [`copy`] kernels — 8/16-byte chunks with bounded wild overshoot and
-//!   pattern widening for overlapping matches), the byte-at-a-time
+//! * the wide-copy sequence executor ([`decompress_block_into`], one
+//!   [`execute_sequence`] step per sequence over the [`copy`] kernels —
+//!   8/16-byte chunks with bounded wild overshoot and pattern widening for
+//!   overlapping matches), the byte-at-a-time
 //!   reference decoder retained for equivalence testing
 //!   ([`decompress_block_reference`]), and dependency-analysis helpers
 //!   used by tests, the MRR statistics and the Figure 9 experiments.
@@ -36,7 +37,7 @@ pub mod sequence;
 
 pub use analysis::{max_nesting_depth, verify_de_invariant, DependencyStats};
 pub use copy::{copy_literals, copy_match, WILD_COPY_MARGIN};
-pub use decompress::{decompress_block, decompress_block_into, decompress_block_reference};
+pub use decompress::{decompress_block, decompress_block_into, decompress_block_reference, execute_sequence};
 pub use error::Lz77Error;
 pub use matcher::{common_prefix_len, Matcher, MatcherConfig, MatcherScratch, SKIP_TRIGGER};
 pub use sequence::{Sequence, SequenceBlock};
