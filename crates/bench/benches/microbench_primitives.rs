@@ -8,7 +8,7 @@ use gompresso_bitstream::{BitReader, BitWriter, ByteReader, ByteWriter};
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES};
 use gompresso_format::{BitBlock, ByteBlock, ByteBlockView, EncodeScratch, InterleaveScratch};
 use gompresso_huffman::{
-    code_lengths, limited_code_lengths, CanonicalCode, DecodeTable, EncodeTable, Histogram, StripeCounters,
+    code_lengths, limited_code_lengths, CanonicalCode, DecodeTable, EncodeTable, Histogram,
 };
 use gompresso_lz77::{
     common_prefix_len, decompress_block_into, decompress_block_reference, Matcher, MatcherConfig, Sequence,
@@ -200,20 +200,11 @@ fn bench_huffman(c: &mut Criterion) {
         });
     });
     group.bench_function("histogram_flat_1mib", |b| {
-        // Single 256-counter array: every byte bumps the same cache lines,
-        // so repeated bytes serialize on store-to-load forwarding.
+        // The block encoder's literal count: one 256-counter array, one
+        // increment per byte.
         b.iter(|| {
             let mut h = Histogram::new(256);
             h.add_bytes(&data);
-            h.count(0)
-        });
-    });
-    group.bench_function("histogram_striped_1mib", |b| {
-        // Two-level build: four u16 lane counters merged per chunk.
-        let mut lanes = StripeCounters::new();
-        b.iter(|| {
-            let mut h = Histogram::new(256);
-            h.add_bytes_striped(&data, &mut lanes);
             h.count(0)
         });
     });

@@ -22,6 +22,7 @@ use crate::gbps;
 use gompresso_core::{
     compress, decompress, CompressorConfig, DecompressorConfig, StreamCompressor, StreamDecompressor,
 };
+pub use gompresso_service::peak_rss_bytes;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
@@ -63,22 +64,6 @@ pub fn reset_peak_rss() {
     {
         let _ = std::fs::write("/proc/self/clear_refs", "5");
     }
-}
-
-/// Current peak RSS of this process in bytes (Linux VmHWM; 0 elsewhere).
-pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-    }
-    0
 }
 
 fn temp_path(name: &str) -> PathBuf {

@@ -87,11 +87,6 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
-    /// Reads a single bit.
-    pub fn read_bit(&mut self) -> Result<bool> {
-        Ok(self.read_bits(1)? != 0)
-    }
-
     /// Peeks at the next `width` (0..=32) bits without consuming them.
     ///
     /// If fewer than `width` bits remain, the missing high bits are zero.

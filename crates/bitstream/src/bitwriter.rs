@@ -84,11 +84,6 @@ impl BitWriter {
         }
     }
 
-    /// Appends a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u32::from(bit), 1);
-    }
-
     /// Number of complete bits written so far.
     pub fn bit_len(&self) -> u64 {
         self.bytes.len() as u64 * 8 + u64::from(self.nbits)
@@ -117,14 +112,6 @@ impl BitWriter {
         self.align_to_byte();
         self.bytes
     }
-
-    /// Finishes the stream and also reports the exact number of payload
-    /// bits written (excluding final padding).
-    pub fn finish_with_bit_len(mut self) -> (Vec<u8>, u64) {
-        let bit_len = self.bit_len();
-        self.align_to_byte();
-        (self.bytes, bit_len)
-    }
 }
 
 #[cfg(test)]
@@ -142,10 +129,9 @@ mod tests {
     fn single_bits_pack_lsb_first() {
         let mut w = BitWriter::new();
         // Write bits 1,0,1,1 -> value 0b1101 in LSB-first order = 0x0D.
-        w.write_bit(true);
-        w.write_bit(false);
-        w.write_bit(true);
-        w.write_bit(true);
+        for bit in [1, 0, 1, 1] {
+            w.write_bits(bit, 1);
+        }
         assert_eq!(w.finish(), vec![0b0000_1101]);
     }
 
@@ -198,9 +184,8 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0x7F, 7);
         assert_eq!(w.bit_len(), 10);
-        let (bytes, bit_len) = w.finish_with_bit_len();
-        assert_eq!(bit_len, 10);
-        assert_eq!(bytes.len(), 2);
+        let bytes = w.finish();
+        assert_eq!(bytes, vec![0b1111_1101, 0b11], "padding follows the 10 payload bits");
     }
 
     #[test]

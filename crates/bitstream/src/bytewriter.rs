@@ -71,15 +71,6 @@ impl ByteWriter {
         self.bytes.extend_from_slice(&data[..len]);
     }
 
-    /// Overwrites 4 bytes at `offset` with a little-endian `u32`.
-    ///
-    /// Used to back-patch size fields whose value is only known after the
-    /// payload has been written. Panics if `offset + 4` exceeds the current
-    /// length — that is a programming error, not a data error.
-    pub fn patch_u32_le(&mut self, offset: usize, v: u32) {
-        self.bytes[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Overwrites 8 bytes at `offset` with a little-endian `u64`.
     ///
     /// The streaming file framing writes its prelude with sentinel totals
@@ -126,12 +117,13 @@ mod tests {
         let mut w = ByteWriter::new();
         w.write_u8(0xEE);
         let pos = w.len();
-        w.write_u32_le(0); // placeholder
+        w.write_u64_le(0); // placeholder
         w.write_bytes(b"payload");
-        w.patch_u32_le(pos, 7);
+        w.patch_u64_le(pos, 7);
         let bytes = w.finish();
-        assert_eq!(&bytes[1..5], &7u32.to_le_bytes());
-        assert_eq!(&bytes[5..], b"payload");
+        assert_eq!(bytes[0], 0xEE);
+        assert_eq!(&bytes[1..9], &7u64.to_le_bytes());
+        assert_eq!(&bytes[9..], b"payload");
     }
 
     #[test]

@@ -86,8 +86,8 @@ fn unaligned_reads_across_every_phase() {
     for &v in &values {
         w.write_bits(v, 3);
     }
-    let (bytes, bit_len) = w.finish_with_bit_len();
-    assert_eq!(bit_len, 64 * 3);
+    assert_eq!(w.bit_len(), 64 * 3);
+    let bytes = w.finish();
     let mut r = BitReader::new(&bytes);
     for (i, &v) in values.iter().enumerate() {
         assert_eq!(r.read_bits(3).unwrap(), v, "value {i} at bit {}", i * 3);

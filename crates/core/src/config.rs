@@ -46,8 +46,6 @@ pub struct FileSettings {
     pub min_match_len: usize,
     /// Maximum match length.
     pub max_match_len: usize,
-    /// Minimal staleness (bytes) for the DE hash-replacement policy.
-    pub min_staleness: usize,
 }
 
 /// The codec plan for one block: everything a compression worker needs
@@ -59,9 +57,6 @@ pub struct BlockPlan {
     pub mode: EncodingMode,
     /// Enforce the Dependency Elimination invariant while matching.
     pub dependency_elimination: bool,
-    /// Use the paper's conservative below-high-water-mark DE rule instead of
-    /// the precise no-same-group-dependency rule.
-    pub strict_hwm: bool,
     /// Sequences per sub-block for parallel Huffman decoding (Bit mode).
     pub sequences_per_sub_block: u32,
     /// Maximum Huffman codeword length (CWL); unused in Byte mode.
@@ -106,8 +101,6 @@ impl BlockPlan {
             chain_depth: self.chain_depth,
             hash_bytes: self.hash_bytes,
             dependency_elimination: self.dependency_elimination,
-            strict_hwm: self.strict_hwm,
-            min_staleness: settings.min_staleness,
             ..MatcherConfig::default()
         }
     }
@@ -152,11 +145,6 @@ pub struct CompressorConfig {
     /// Enable Dependency Elimination during matching under static
     /// planning; unused under adaptive planning.
     pub dependency_elimination: bool,
-    /// Use the paper's conservative below-high-water-mark DE rule instead of
-    /// the precise no-same-group-dependency rule.
-    pub strict_hwm: bool,
-    /// Minimal staleness (bytes) for the DE hash-replacement policy.
-    pub min_staleness: usize,
     /// Static (uniform) or adaptive (per-block) codec planning.
     pub planning: PlanningMode,
 }
@@ -174,8 +162,6 @@ impl Default for CompressorConfig {
             sequences_per_sub_block: 16,
             max_codeword_len: 10,
             dependency_elimination: false,
-            strict_hwm: false,
-            min_staleness: 1024,
             planning: PlanningMode::Static,
         }
     }
@@ -217,7 +203,6 @@ impl CompressorConfig {
             window_size: self.window_size,
             min_match_len: self.min_match_len,
             max_match_len: self.max_match_len,
-            min_staleness: self.min_staleness,
         }
     }
 
@@ -228,7 +213,6 @@ impl CompressorConfig {
         BlockPlan {
             mode: self.mode,
             dependency_elimination: self.dependency_elimination,
-            strict_hwm: self.strict_hwm,
             sequences_per_sub_block: self.sequences_per_sub_block,
             max_codeword_len: self.max_codeword_len,
             chain_depth: self.chain_depth,

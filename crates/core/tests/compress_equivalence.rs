@@ -7,7 +7,7 @@
 //! lengths, a linear overlap scan for the DE policy, freshly allocated
 //! tables per block, per-symbol Huffman emission through a byte-at-a-time
 //! bit writer, interleaved histogram building — and checks that for random
-//! inputs across {bit, byte} × {plain, deep-chain, DE, strict-HWM}, and at
+//! inputs across {bit, byte} × {plain, deep-chain, DE}, and at
 //! the edges of the matcher's check-free fast region (short and long
 //! lookaheads, tiny blocks, three-byte keys):
 //!
@@ -17,9 +17,12 @@
 //! The reference mirrors the *algorithm* (quad-byte hashing, hash chains
 //! whose DE-vetoed candidates do not consume attempts, skip-stride over
 //! miss runs, covered-position insertion inside long matches — sampled
-//! except for deep chains without DE — and the minimal-staleness policy) in its simplest possible code, so
-//! any divergence introduced by the word-wise/batched implementations fails
-//! the property.
+//! except for deep chains without DE — the minimal-staleness policy and the
+//! one DE rule, no overlap with another back-reference's output within a
+//! group of 32 sequences) in its simplest possible code, with its own
+//! constants (1 KiB staleness, 32-sequence groups) rather than the matcher's,
+//! so any divergence introduced by the word-wise/batched implementations
+//! fails the property.
 
 use gompresso_bitstream::ByteWriter;
 use gompresso_core::{compress, CompressedFile, CompressorConfig, EncodingMode};
@@ -60,21 +63,18 @@ fn ref_match_len(input: &[u8], cand: usize, pos: usize, limit: usize) -> usize {
     len
 }
 
+/// Sequences per warp group, as the decoder's DE check counts them.
+const REF_GROUP_SIZE: usize = 32;
+
+/// The DE hash-replacement policy's minimal staleness (paper, Section IV-B).
+const REF_MIN_STALENESS: u64 = 1024;
+
 /// Linear-scan DE policy (the reference for the binary-search bound).
-fn ref_de_allows(
-    cfg: &MatcherConfig,
-    cand: usize,
-    len: usize,
-    group_start: usize,
-    emitted: &[(usize, usize)],
-) -> bool {
+fn ref_de_allows(cfg: &MatcherConfig, cand: usize, len: usize, emitted: &[(usize, usize)]) -> bool {
     if !cfg.dependency_elimination {
         return true;
     }
     let src_end = cand + len;
-    if cfg.strict_hwm {
-        return src_end <= group_start;
-    }
     !emitted.iter().any(|&(start, end)| cand < end && src_end > start)
 }
 
@@ -96,7 +96,7 @@ fn ref_compress(cfg: &MatcherConfig, input: &[u8]) -> SequenceBlock {
         let existing = head[h];
         if cfg.dependency_elimination
             && existing != u32::MAX
-            && (pos as u64 - u64::from(existing)) <= cfg.min_staleness as u64
+            && (pos as u64 - u64::from(existing)) <= REF_MIN_STALENESS
         {
             return;
         }
@@ -107,7 +107,6 @@ fn ref_compress(cfg: &MatcherConfig, input: &[u8]) -> SequenceBlock {
     let mut pos = 0usize;
     let mut literal_start = 0usize;
     let mut seq_in_group = 0usize;
-    let mut group_start = 0usize;
     let mut miss_run = 0u32;
     let mut emitted: Vec<(usize, usize)> = Vec::new();
 
@@ -131,7 +130,7 @@ fn ref_compress(cfg: &MatcherConfig, input: &[u8]) -> SequenceBlock {
                 let len = ref_match_len(input, cand_pos, pos, limit);
                 let mut de_blocked = false;
                 if len > probe {
-                    if ref_de_allows(cfg, cand_pos, len, group_start, &emitted) {
+                    if ref_de_allows(cfg, cand_pos, len, &emitted) {
                         best_len = len;
                         best_cand = cand_pos;
                         if len >= cfg.max_match_len {
@@ -180,9 +179,8 @@ fn ref_compress(cfg: &MatcherConfig, input: &[u8]) -> SequenceBlock {
             pos += best_len;
             literal_start = pos;
             seq_in_group += 1;
-            if seq_in_group == cfg.group_size {
+            if seq_in_group == REF_GROUP_SIZE {
                 seq_in_group = 0;
-                group_start = pos;
                 emitted.clear();
             }
         } else {
@@ -453,7 +451,6 @@ fn configs() -> Vec<CompressorConfig> {
         small_blocks(CompressorConfig::bit_de()),
         small_blocks(CompressorConfig::byte()),
         small_blocks(CompressorConfig::byte_de()),
-        small_blocks(CompressorConfig { strict_hwm: true, ..CompressorConfig::byte_de() }),
         small_blocks(CompressorConfig { chain_depth: 4, hash_bytes: 3, ..CompressorConfig::bit_de() }),
         small_blocks(CompressorConfig { chain_depth: 8, ..CompressorConfig::bit() }),
         small_blocks(CompressorConfig { chain_depth: 8, ..CompressorConfig::byte() }),

@@ -11,7 +11,7 @@
 use crate::token_code::{TokenCoder, TokenEncodeTables, TokenTables, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
 use crate::{FormatError, Result};
 use gompresso_bitstream::{read_varint, write_varint, BitReader, BitWriter, ByteReader, ByteWriter};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, HuffmanError, StripeCounters};
+use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, HuffmanError};
 use gompresso_lz77::{Sequence, SequenceBlock};
 use std::ops::Range;
 
@@ -36,9 +36,8 @@ pub struct BitBlock {
 }
 
 /// Reusable per-worker state for [`BitBlock::encode_with_scratch`]: the two
-/// pass-1 histograms (with their striped lane counters), the flat
-/// encode-side token tables (cached per coder) and the per-block fused
-/// match-field tables.
+/// pass-1 histograms, the flat encode-side token tables (cached per coder)
+/// and the per-block fused match-field tables.
 ///
 /// One scratch per worker lets every block of a file reuse the same
 /// allocations; [`BitBlock::encode`] creates a throwaway one.
@@ -46,8 +45,6 @@ pub struct BitBlock {
 pub struct EncodeScratch {
     lit_len_hist: Histogram,
     offset_hist: Histogram,
-    /// Striped `u16` lane counters for the two-level literal histogram.
-    stripes: StripeCounters,
     /// Flat encode-side token tables, rebuilt only when the file's coding
     /// parameters change.
     tokens: Option<(TokenCoder, TokenEncodeTables)>,
@@ -65,7 +62,6 @@ impl EncodeScratch {
         Self {
             lit_len_hist: Histogram::new(0),
             offset_hist: Histogram::new(0),
-            stripes: StripeCounters::new(),
             tokens: None,
             len_fused: Vec::new(),
             off_fused: Vec::new(),
@@ -112,8 +108,8 @@ struct EntropyPlan {
     total_bits: u64,
 }
 
-/// Pass 1: histograms over both alphabets (striped two-level build for the
-/// literal bulk, flat token tables for the match symbols), code
+/// Pass 1: histograms over both alphabets (one bulk count of the literal
+/// bytes, flat token tables for the match symbols), code
 /// construction, and the exact size hint for the emit pass. Also rebuilds
 /// the per-block fused token tables.
 fn plan_entropy(
@@ -124,7 +120,7 @@ fn plan_entropy(
 ) -> Result<EntropyPlan> {
     scratch.prepare(coder.lit_len_alphabet(), coder.offset_alphabet());
     scratch.ensure_tokens(coder);
-    let EncodeScratch { lit_len_hist, offset_hist, stripes, tokens, len_fused, off_fused } = scratch;
+    let EncodeScratch { lit_len_hist, offset_hist, tokens, len_fused, off_fused } = scratch;
     let tables = &tokens.as_ref().expect("ensure_tokens populated the cache").1;
 
     // Guarantee both alphabets are non-empty so code construction cannot
@@ -134,9 +130,9 @@ fn plan_entropy(
     let mut extra_bits = 0u64;
 
     // Literal frequencies do not depend on how literals interleave with
-    // matches, so the whole literal buffer is counted with one bulk striped
-    // sweep; the per-sequence loop then only handles match symbols.
-    lit_len_hist.add_bytes_striped(&block.literals, stripes);
+    // matches, so the whole literal buffer is counted with one bulk sweep;
+    // the per-sequence loop then only handles match symbols.
+    lit_len_hist.add_bytes(&block.literals);
     for seq in &block.sequences {
         if seq.has_match() {
             let (len_sym, len_bits, _) = tables.length_token(seq.match_len)?;

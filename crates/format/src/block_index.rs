@@ -217,15 +217,6 @@ impl BlockIndex {
         self.entries.first().map(|e| e.checksum.is_some()).unwrap_or(false)
     }
 
-    /// The block containing uncompressed byte `offset`, or `None` past the
-    /// end of the file. O(1): blocks are `block_size` apart in output space.
-    pub fn block_for_offset(&self, offset: u64) -> Option<usize> {
-        if offset >= self.uncompressed_size {
-            return None;
-        }
-        Some((offset / u64::from(self.block_size)) as usize)
-    }
-
     /// The contiguous run of blocks overlapping the uncompressed byte range,
     /// after clamping it to the file (`start > end` or a start past the end
     /// yields an empty run). O(1).
@@ -380,12 +371,13 @@ mod tests {
     fn offset_and_range_lookup() {
         let index = BlockIndex::from_container(&sample_header(), 0).unwrap();
         let bs = 256 * 1024u64;
-        assert_eq!(index.block_for_offset(0), Some(0));
-        assert_eq!(index.block_for_offset(bs - 1), Some(0));
-        assert_eq!(index.block_for_offset(bs), Some(1));
-        assert_eq!(index.block_for_offset(999_999), Some(3));
-        assert_eq!(index.block_for_offset(1_000_000), None);
+        // One-byte ranges: the block holding each offset, none past the end.
         assert_eq!(index.blocks_for_range(0..1), 0..1);
+        assert_eq!(index.blocks_for_range(bs - 1..bs), 0..1);
+        assert_eq!(index.blocks_for_range(bs..bs + 1), 1..2);
+        assert_eq!(index.blocks_for_range(999_999..1_000_000), 3..4);
+        assert_eq!(index.blocks_for_range(1_000_000..1_000_001), 0..0);
+        // Multi-byte ranges.
         assert_eq!(index.blocks_for_range(0..bs), 0..1);
         assert_eq!(index.blocks_for_range(bs - 1..bs + 1), 0..2);
         assert_eq!(index.blocks_for_range(0..1_000_000), 0..4);
@@ -492,6 +484,6 @@ mod tests {
         let index = BlockIndex::from_container(&header, 16).unwrap();
         assert!(index.is_empty());
         assert_eq!(index.blocks_for_range(0..100), 0..0);
-        assert_eq!(index.block_for_offset(0), None);
+        assert_eq!(index.blocks_for_range(0..1), 0..0);
     }
 }

@@ -64,15 +64,6 @@ impl EncodeTable {
         }
     }
 
-    /// Total encoded size in bits of a symbol slice (without encoding it).
-    pub fn encoded_bits(&self, symbols: &[u16]) -> Result<u64> {
-        let mut bits = 0u64;
-        for &s in symbols {
-            bits += u64::from(self.code_len(s).ok_or(HuffmanError::UnknownSymbol(s))?);
-        }
-        Ok(bits)
-    }
-
     /// Total encoded size in bits of every symbol occurrence counted by
     /// `hist` (without encoding anything).
     ///
@@ -146,16 +137,20 @@ mod tests {
 
     #[test]
     fn encoded_bits_matches_actual_encoding() {
-        let code = code_for(&[60, 25, 10, 5], 10);
+        // Symbol 4 gets no code.
+        let code = code_for(&[60, 25, 10, 5, 0], 10);
         let enc = EncodeTable::new(&code);
         let symbols = [0u16, 0, 1, 2, 3, 1, 0];
-        let predicted = enc.encoded_bits(&symbols).unwrap();
+        let predicted = enc.encoded_bits_for_histogram(&Histogram::from_symbols(5, &symbols)).unwrap();
         let mut w = BitWriter::new();
         for &s in &symbols {
             enc.encode(&mut w, s).unwrap();
         }
         assert_eq!(w.bit_len(), predicted);
-        assert!(enc.encoded_bits(&[99]).is_err());
+        assert!(matches!(
+            enc.encoded_bits_for_histogram(&Histogram::from_symbols(5, &[0, 4])),
+            Err(HuffmanError::UnknownSymbol(4))
+        ));
     }
 
     #[test]

@@ -63,42 +63,6 @@ impl Histogram {
         }
     }
 
-    /// Counts every byte of `bytes` through four striped `u16` lane
-    /// counters, merging the lanes into the main counts once per chunk.
-    ///
-    /// Equivalent to [`Self::add_bytes`]. The flat build has a loop-carried
-    /// dependency whenever the same byte value repeats back-to-back (the
-    /// increment must forward through the store buffer); striping
-    /// consecutive bytes across four independent counter arrays breaks that
-    /// chain for runs shorter than four. Chunking keeps each `u16` lane
-    /// counter below overflow: a lane sees at most `chunk/4 ≤ 65 535`
-    /// increments of one value per merge. Panics if the alphabet is smaller
-    /// than 256 symbols, like the flat build.
-    pub fn add_bytes_striped(&mut self, bytes: &[u8], lanes: &mut StripeCounters) {
-        // 4 * 0xFFFF: the largest chunk where one lane cannot overflow u16.
-        const CHUNK: usize = 4 * 0xFFFF;
-        let counts = &mut self.counts[..256];
-        for chunk in bytes.chunks(CHUNK) {
-            lanes.counts.fill(0);
-            let (l01, l23) = lanes.counts.split_at_mut(512);
-            let (l0, l1) = l01.split_at_mut(256);
-            let (l2, l3) = l23.split_at_mut(256);
-            let mut quads = chunk.chunks_exact(4);
-            for quad in &mut quads {
-                l0[usize::from(quad[0])] += 1;
-                l1[usize::from(quad[1])] += 1;
-                l2[usize::from(quad[2])] += 1;
-                l3[usize::from(quad[3])] += 1;
-            }
-            for &b in quads.remainder() {
-                counts[usize::from(b)] += 1;
-            }
-            for i in 0..256 {
-                counts[i] += u64::from(l0[i]) + u64::from(l1[i]) + u64::from(l2[i]) + u64::from(l3[i]);
-            }
-        }
-    }
-
     /// Frequency of `symbol`.
     pub fn count(&self, symbol: u16) -> u64 {
         self.counts[symbol as usize]
@@ -147,29 +111,6 @@ impl Histogram {
     }
 }
 
-/// Reusable lane counters for [`Histogram::add_bytes_striped`]: four 256-way
-/// `u16` arrays, one per input-byte stripe.
-///
-/// The block encoder keeps one per worker (inside its encode scratch) so the
-/// two-level histogram build allocates nothing in steady state.
-#[derive(Debug, Clone)]
-pub struct StripeCounters {
-    counts: Vec<u16>,
-}
-
-impl StripeCounters {
-    /// Creates zeroed lane counters.
-    pub fn new() -> Self {
-        Self { counts: vec![0; 4 * 256] }
-    }
-}
-
-impl Default for StripeCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,33 +136,6 @@ mod tests {
         let syms = [1u16, 1, 2, 5, 5, 5];
         let h = Histogram::from_symbols(6, &syms);
         assert_eq!(h.counts(), &[0, 2, 1, 0, 0, 3]);
-    }
-
-    #[test]
-    fn striped_build_matches_flat_build() {
-        let mut lanes = StripeCounters::new();
-        let mut state = 0x1234_5678u32;
-        // Lengths straddle the quad remainder and (via the big case) more
-        // than one merge chunk.
-        for len in [0usize, 1, 2, 3, 4, 5, 255, 4096, 4 * 0xFFFF + 9] {
-            let bytes: Vec<u8> = (0..len)
-                .map(|i| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    // Long same-byte runs exercise the dependency the lanes
-                    // exist to break.
-                    if i % 97 < 13 {
-                        7
-                    } else {
-                        (state >> 21) as u8
-                    }
-                })
-                .collect();
-            let mut flat = Histogram::new(257);
-            flat.add_bytes(&bytes);
-            let mut striped = Histogram::new(257);
-            striped.add_bytes_striped(&bytes, &mut lanes);
-            assert_eq!(flat, striped, "len {len}");
-        }
     }
 
     #[test]

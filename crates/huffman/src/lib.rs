@@ -33,7 +33,7 @@ pub use canonical::{CanonicalCode, CodeEntry};
 pub use decoder::DecodeTable;
 pub use encoder::EncodeTable;
 pub use error::HuffmanError;
-pub use histogram::{Histogram, StripeCounters};
+pub use histogram::Histogram;
 pub use lengths::{code_lengths, limited_code_lengths};
 
 /// Result alias for Huffman operations.

@@ -115,11 +115,6 @@ pub fn dependency_stats(block: &SequenceBlock, group_size: usize) -> DependencyS
     }
 }
 
-/// Maximum same-group nesting depth of `block` (see [`dependency_stats`]).
-pub fn max_nesting_depth(block: &SequenceBlock, group_size: usize) -> u32 {
-    dependency_stats(block, group_size).max_depth
-}
-
 /// Verifies the Dependency Elimination invariant: no back-reference may read
 /// bytes written by another back-reference of the same warp group.
 ///
@@ -208,7 +203,7 @@ mod tests {
         assert!(verify_de_invariant(&block, 32).is_err());
         // With a group size of 1 there are no same-group peers, so no
         // dependencies.
-        assert_eq!(max_nesting_depth(&block, 1), 0);
+        assert_eq!(dependency_stats(&block, 1).max_depth, 0);
         verify_de_invariant(&block, 1).unwrap();
     }
 
@@ -254,7 +249,7 @@ mod tests {
             Err(Lz77Error::OffsetBeforeStart { sequence: 0, position: 1, offset: 10 })
         );
         assert_eq!(dependency_stats(&block, 32).total_refs, 0);
-        assert_eq!(max_nesting_depth(&block, 32), 0);
+        assert_eq!(dependency_stats(&block, 32).max_depth, 0);
     }
 
     #[test]

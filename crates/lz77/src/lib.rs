@@ -12,11 +12,12 @@
 //! * a greedy hash-table matcher ([`Matcher`]) with a sliding window,
 //!   configurable minimum/maximum match lengths and lookahead — the same
 //!   design as the LZ4 matcher the paper modifies,
-//! * the **Dependency Elimination** mode (Section IV-B): matches are only
-//!   accepted if they lie entirely below the warp high-water mark (the input
-//!   position completed before the current group of 32 sequences), plus the
-//!   "minimal staleness" hash-replacement policy, so decompression never
-//!   stalls on same-warp nested back-references,
+//! * the **Dependency Elimination** mode (Section IV-B): a match is only
+//!   accepted if its source overlaps the output of no other back-reference
+//!   in its own group of [`GROUP_SIZE`] sequences, plus the "minimal
+//!   staleness" hash-replacement policy, so decompression never stalls on
+//!   same-warp nested back-references ([`verify_de_invariant`] checks the
+//!   same rule),
 //! * the wide-copy sequence executor ([`decompress_block_into`], one
 //!   [`execute_sequence`] step per sequence over the [`copy`] kernels —
 //!   8/16-byte chunks with bounded wild overshoot and pattern widening for
@@ -35,7 +36,7 @@ pub mod error;
 pub mod matcher;
 pub mod sequence;
 
-pub use analysis::{max_nesting_depth, verify_de_invariant, DependencyStats};
+pub use analysis::{verify_de_invariant, DependencyStats};
 pub use copy::{copy_literals, copy_match, WILD_COPY_MARGIN};
 pub use decompress::{decompress_block, decompress_block_into, decompress_block_reference, execute_sequence};
 pub use error::Lz77Error;

@@ -32,23 +32,24 @@
 //!
 //! **Dependency Elimination.** With `dependency_elimination` enabled the
 //! matcher refuses any candidate whose source range overlaps the output of a
-//! back-reference emitted earlier in the *same group of 32 sequences* — the
-//! group that one warp will decompress together. Those are exactly the
-//! matches that would stall the warp at decompression time (nested same-warp
-//! back-references). References into literal regions, previous groups, or a
-//! sequence's own output remain legal because that data is available before
-//! back-reference resolution begins. This is the precise form of the
-//! constraint; the paper describes the more conservative "only match below
-//! the warp high-water mark" rule, which our `strict_hwm` option also
-//! provides (see `DESIGN.md` for the discussion). The accompanying
-//! "minimal staleness" hash-replacement policy keeps older candidate
-//! positions alive so that eliminating nearby candidates does not simply
-//! discard all matches. Because emitted back-references are produced at
-//! strictly increasing output positions, the per-group overlap check is a
-//! binary search over a sorted list of disjoint intervals rather than a
-//! linear scan (with a one-compare fast path for candidates below the
-//! group's first emitted range, the common case under the staleness
-//! policy).
+//! back-reference emitted earlier in the *same group of [`GROUP_SIZE`]
+//! sequences* — the group that one warp will decompress together, and the
+//! group the decoder's `verify_de_invariant(block, GROUP_SIZE)` checks.
+//! Those are exactly the matches that would stall the warp at decompression
+//! time (nested same-warp back-references). References into literal regions,
+//! previous groups, or a sequence's own output remain legal because that data
+//! is available before back-reference resolution begins. This is the one DE
+//! rule the matcher enforces. The paper states a more conservative rule
+//! ("only match below the warp high-water mark"); every match it accepts
+//! this rule accepts too, so it is not implemented separately (see
+//! `DESIGN.md` §3). The accompanying "minimal staleness" hash-replacement
+//! policy (1 KiB, the paper's value) keeps older candidate positions alive
+//! so that eliminating nearby candidates does not simply discard all
+//! matches. Because emitted back-references are produced at strictly
+//! increasing output positions, the per-group overlap check is a binary
+//! search over a sorted list of disjoint intervals rather than a linear scan
+//! (with a one-compare fast path for candidates below the group's first
+//! emitted range, the common case under the staleness policy).
 
 use crate::sequence::{Sequence, SequenceBlock};
 use crate::GROUP_SIZE;
@@ -79,16 +80,6 @@ pub struct MatcherConfig {
     pub hash_bytes: u32,
     /// Enable Dependency Elimination.
     pub dependency_elimination: bool,
-    /// With DE enabled, use the paper's conservative rule (match sources
-    /// must end at or below the group's starting position) instead of the
-    /// precise no-same-group-back-reference rule.
-    pub strict_hwm: bool,
-    /// Number of sequences per warp group (32 on all CUDA hardware).
-    pub group_size: usize,
-    /// Minimal staleness in bytes for the DE hash-replacement policy: an
-    /// existing table entry is only replaced once it falls more than this
-    /// many bytes behind the cursor (the paper determined 1 K empirically).
-    pub min_staleness: usize,
 }
 
 impl Default for MatcherConfig {
@@ -101,9 +92,6 @@ impl Default for MatcherConfig {
             hash_bits: 14,
             hash_bytes: 4,
             dependency_elimination: false,
-            strict_hwm: false,
-            group_size: GROUP_SIZE,
-            min_staleness: 1024,
         }
     }
 }
@@ -154,6 +142,12 @@ impl MatcherConfig {
 /// byte, so compressible data is matched exactly as without acceleration.
 pub const SKIP_TRIGGER: u32 = 6;
 
+/// Minimal staleness in bytes for the DE hash-replacement policy: an
+/// existing table entry is only replaced once it falls more than this many
+/// bytes behind the cursor. The paper (Section IV-B) determined 1 KiB
+/// empirically.
+const MIN_STALENESS: u64 = 1024;
+
 /// Output range `[start, end)` of an already-emitted back-reference in the
 /// current warp group. Ranges are produced at strictly increasing positions,
 /// so the per-group list is always sorted and disjoint.
@@ -171,7 +165,6 @@ struct Cursor {
     /// Consecutive match-less positions; drives skip-stride acceleration.
     miss_run: u32,
     seq_in_group: usize,
-    group_start: usize,
 }
 
 /// Reusable hash-chain state for [`Matcher::compress_with_scratch`].
@@ -205,7 +198,7 @@ impl MatcherScratch {
     /// Clears and resizes the tables for a matcher configuration. The
     /// `prev` ring is only materialised for matchers that walk chains
     /// (depth > 1 or DE); a single-probe matcher never reads it.
-    fn prepare(&mut self, hash_size: usize, window_size: usize, group_size: usize, chain: bool) {
+    fn prepare(&mut self, hash_size: usize, window_size: usize, chain: bool) {
         self.head.clear();
         self.head.resize(hash_size, u32::MAX);
         self.prev.clear();
@@ -213,7 +206,7 @@ impl MatcherScratch {
             self.prev.resize(window_size, u32::MAX);
         }
         self.emitted.clear();
-        self.emitted.reserve(group_size);
+        self.emitted.reserve(GROUP_SIZE);
     }
 }
 
@@ -274,7 +267,6 @@ impl Matcher {
         assert!(config.window_size.is_power_of_two(), "window size must be a power of two");
         assert!(config.min_match_len >= 3, "minimum match length must be at least 3");
         assert!(config.max_match_len >= config.min_match_len, "max match must be >= min match");
-        assert!(config.group_size >= 1 && config.group_size <= 1024, "group size out of range");
         assert!(config.hash_bits >= 8 && config.hash_bits <= 24, "hash bits out of range");
         assert!(config.chain_depth >= 1, "chain depth must be at least 1");
         assert!(matches!(config.hash_bytes, 0 | 3 | 4), "hash width must be 0 (auto), 3 or 4");
@@ -295,25 +287,20 @@ impl Matcher {
     /// computation entirely when the bound cannot reach `min_match_len`.
     ///
     /// `emitted` holds the current group's back-reference output ranges in
-    /// sorted, disjoint order, so the precise rule is a binary search for
-    /// the first range ending past `cand` — the only one that can overlap —
-    /// instead of a linear scan (the old scan made DE candidate filtering
-    /// O(group²) per group).
+    /// sorted, disjoint order, so the rule is a binary search for the first
+    /// range ending past `cand` — the only one that can overlap — instead
+    /// of a linear scan (the old scan made DE candidate filtering O(group²)
+    /// per group).
     #[inline]
-    fn de_allowed_len(&self, cand: usize, group_start: usize, emitted: &[EmittedRef]) -> usize {
+    fn de_allowed_len(&self, cand: usize, emitted: &[EmittedRef]) -> usize {
         if !self.config.dependency_elimination {
             return usize::MAX;
         }
-        if self.config.strict_hwm {
-            // Paper's conservative rule: the source must lie entirely below
-            // the position completed before this group started.
-            return group_start.saturating_sub(cand);
-        }
-        // Precise rule: the source must not overlap the output of any
-        // back-reference already emitted in this group. Two fast paths
-        // cover the overwhelmingly common cases before the binary search:
-        // an empty group, and a candidate that starts below the group's
-        // first emitted range — the staleness replacement policy keeps
+        // The source must not overlap the output of any back-reference
+        // already emitted in this group. Two fast paths cover the
+        // overwhelmingly common cases before the binary search: an empty
+        // group, and a candidate that starts below the group's first
+        // emitted range — the staleness replacement policy keeps
         // table entries old, so most candidates lie entirely below the
         // group span and resolve with a single compare (the bound is the
         // same one the search would produce for partition index 0).
@@ -391,7 +378,7 @@ impl Matcher {
             return;
         }
 
-        scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, cfg.group_size, CHAIN);
+        scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, CHAIN);
         let mut cursor = Cursor::default();
         let fast_end = n.saturating_sub(cfg.max_match_len + 8);
         self.scan::<DE, CHAIN, true>(input, fast_end, &mut cursor, scratch, out);
@@ -468,7 +455,7 @@ impl Matcher {
                 // cleared per block), so the wrapping subtraction also
                 // classifies the empty sentinel as stale without a separate
                 // compare.
-                let stale = (pos as u64).wrapping_sub(u64::from(existing)) > cfg.min_staleness as u64;
+                let stale = (pos as u64).wrapping_sub(u64::from(existing)) > MIN_STALENESS;
                 if stale {
                     prev[pos & window_mask] = existing;
                     head[h] = pos as u32;
@@ -489,7 +476,7 @@ impl Matcher {
             insert_loaded(head, prev, pos, h, existing);
         };
 
-        let Cursor { mut pos, mut literal_start, mut miss_run, mut seq_in_group, mut group_start } = *cursor;
+        let Cursor { mut pos, mut literal_start, mut miss_run, mut seq_in_group } = *cursor;
         while pos < end {
             let mut best_len = 0usize;
             let mut best_cand = 0usize;
@@ -553,7 +540,7 @@ impl Matcher {
                     };
                     let mut de_blocked = false;
                     if len > probe {
-                        if !DE || len <= self.de_allowed_len(cand_pos, group_start, emitted) {
+                        if !DE || len <= self.de_allowed_len(cand_pos, emitted) {
                             best_len = len;
                             best_cand = cand_pos;
                             if len >= cfg.max_match_len {
@@ -641,9 +628,8 @@ impl Matcher {
                 if DE {
                     // Only the DE policy reads the group state.
                     seq_in_group += 1;
-                    if seq_in_group == cfg.group_size {
+                    if seq_in_group == GROUP_SIZE {
                         seq_in_group = 0;
-                        group_start = pos;
                         emitted.clear();
                     }
                 }
@@ -660,7 +646,7 @@ impl Matcher {
                 pos += step;
             }
         }
-        *cursor = Cursor { pos, literal_start, miss_run, seq_in_group, group_start };
+        *cursor = Cursor { pos, literal_start, miss_run, seq_in_group };
     }
 }
 
@@ -801,20 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_hwm_mode_is_even_more_conservative() {
-        let mut input = Vec::new();
-        for _ in 0..500 {
-            input.extend_from_slice(b"repetitive content repeats ");
-        }
-        let precise = Matcher::new(MatcherConfig::gompresso_de()).compress(&input);
-        let strict = Matcher::new(MatcherConfig { strict_hwm: true, ..MatcherConfig::gompresso_de() })
-            .compress(&input);
-        assert_eq!(decompress_block(&strict).unwrap(), input);
-        verify_de_invariant(&strict, GROUP_SIZE).unwrap();
-        assert!(strict.byte_encoded_estimate() >= precise.byte_encoded_estimate());
-    }
-
-    #[test]
     fn deeper_chains_do_not_hurt_ratio() {
         let mut input = Vec::new();
         for i in 0..1000u32 {
@@ -870,7 +842,7 @@ mod tests {
     ) -> SequenceBlock {
         let cfg = matcher.config();
         let mut scratch = MatcherScratch::new();
-        scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, cfg.group_size, CHAIN);
+        scratch.prepare(1usize << cfg.hash_bits, cfg.window_size, CHAIN);
         let mut out = SequenceBlock::new();
         out.uncompressed_len = input.len();
         let mut cursor = Cursor::default();
@@ -896,8 +868,7 @@ mod tests {
                     MatcherConfig { max_match_len, hash_bytes, hash_bits: 12, ..MatcherConfig::default() };
                 configs.push(base.clone());
                 configs.push(MatcherConfig { chain_depth: 8, window_size: 32 * 1024, ..base.clone() });
-                configs.push(MatcherConfig { dependency_elimination: true, ..base.clone() });
-                configs.push(MatcherConfig { dependency_elimination: true, strict_hwm: true, ..base });
+                configs.push(MatcherConfig { dependency_elimination: true, ..base });
             }
         }
         let words: [&[u8]; 8] =
