@@ -1,4 +1,4 @@
-//! Micro-benchmarks of the substrates: warp primitives, Huffman coding, the
+//! Micro-benchmarks of the substrates: bit I/O, Huffman coding, the
 //! byte-block decoder and the LZ77 matcher. Not a paper figure, but useful
 //! for tracking regressions in the pieces every experiment depends on.
 
@@ -14,20 +14,6 @@ use gompresso_lz77::{
     common_prefix_len, decompress_block_into, decompress_block_reference, Matcher, MatcherConfig, Sequence,
     SequenceBlock,
 };
-use gompresso_simt::{Warp, WARP_SIZE};
-
-fn bench_warp_primitives(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro_warp");
-    let values: [u64; WARP_SIZE] = std::array::from_fn(|i| (i as u64 * 37) % 101);
-    group.bench_function("exclusive_prefix_sum", |b| {
-        b.iter(|| {
-            let mut warp = Warp::new();
-            warp.exclusive_prefix_sum(&values).1
-        });
-    });
-    group.finish();
-}
-
 fn bench_bitreader(c: &mut Criterion) {
     // Word-level refill in isolation: stream 1 MiB through the reader in
     // mixed widths. This is the microbenchmark that shows the unaligned
@@ -469,7 +455,6 @@ fn bench_matcher(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_warp_primitives,
     bench_bitreader,
     bench_bitwriter,
     bench_match_len,

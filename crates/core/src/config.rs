@@ -255,13 +255,6 @@ impl CompressorConfig {
         }
         Ok(())
     }
-
-    /// The LZ77 matcher configuration of the default block plan. Kept for
-    /// callers that tune the matcher directly; per-block plans derive their
-    /// own via [`BlockPlan::matcher_config`].
-    pub fn matcher_config(&self) -> MatcherConfig {
-        self.base_plan().matcher_config(&self.file_settings())
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +324,7 @@ mod tests {
     fn matcher_config_reflects_settings() {
         let c =
             CompressorConfig { dependency_elimination: true, window_size: 4096, ..CompressorConfig::bit() };
-        let m = c.matcher_config();
+        let m = c.base_plan().matcher_config(&c.file_settings());
         assert!(m.dependency_elimination);
         assert_eq!(m.window_size, 4096);
         assert_eq!(m.max_match_len, 64);

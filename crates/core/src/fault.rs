@@ -9,23 +9,17 @@
 //! and assert the decoder's contract: detect, or be byte-identical; never
 //! silently wrong.
 //!
-//! Beyond storage-shaped damage, the plan also models *connection-shaped*
-//! faults for network transports (the wrappers are generic over any
-//! `Read`/`Write`, so they compose directly with `TcpStream` or its
-//! buffered halves): a permanent mid-stream disconnect
-//! ([`FaultPlan::disconnect`]), a one-shot stall-then-resume
-//! ([`FaultPlan::stall`]) that trips peer read deadlines, and short-write
-//! bursts ([`FaultPlan::short_writes`]) that force callers to cope with
-//! partial writes. The service daemon's network fault matrix is built on
-//! these.
+//! The wrappers are generic over any `Read`/`Write`, so they compose with a
+//! `TcpStream` as well as a file: the service daemon's fault matrix sends
+//! one client's socket writes through a [`FaultWriter`] in short-write
+//! bursts ([`FaultPlan::short_writes`]); its disconnect and stall victims
+//! drive raw sockets directly.
 //!
 //! Everything is deterministic. The same [`FaultPlan`] and seed produce the
 //! same faults on every run, so a failing matrix entry is a one-line repro:
-//! the seed *is* the test case. (A stall's *duration* is wall-clock, but
-//! its placement and firing are exact.)
+//! the seed *is* the test case.
 
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 /// A splitmix64 step — the tiny, seedable RNG driving fault placement.
 /// (Same generator the offline `rand` shim uses; duplicated here so the
@@ -53,15 +47,6 @@ pub struct FaultPlan {
     pub error_at: Option<u64>,
     /// Maximum bytes served per `read` call (short reads). `0` = no limit.
     pub max_read: usize,
-    /// Model a dropped connection: every read and write at or past this
-    /// offset fails with `ConnectionReset`, permanently (unlike
-    /// [`FaultPlan::error_at`], which fires once). Bytes before the offset
-    /// flow normally, so the peer sees a believable torn mid-stream cut.
-    pub disconnect_at: Option<u64>,
-    /// Stall-then-resume: `(offset, millis)` — the first operation that
-    /// reaches `offset` sleeps for `millis` before proceeding, exactly
-    /// once. Long enough stalls trip the peer's read/write deadlines.
-    pub stall: Option<(u64, u64)>,
     /// Maximum bytes accepted per `write` call (short-write bursts).
     /// `0` = no limit. Callers relying on `write` instead of `write_all`
     /// will observe partial writes.
@@ -95,20 +80,6 @@ impl FaultPlan {
     /// Serve at most `n` bytes per read call.
     pub fn short_reads(mut self, n: usize) -> Self {
         self.max_read = n;
-        self
-    }
-
-    /// Drop the connection at `offset`: every read/write from there on
-    /// fails with `ConnectionReset`.
-    pub fn disconnect(mut self, offset: u64) -> Self {
-        self.disconnect_at = Some(offset);
-        self
-    }
-
-    /// Stall for `millis` milliseconds when the stream reaches `offset`,
-    /// then resume (fires once).
-    pub fn stall(mut self, offset: u64, millis: u64) -> Self {
-        self.stall = Some((offset, millis));
         self
     }
 
@@ -166,46 +137,14 @@ pub struct FaultReader<R> {
     plan: FaultPlan,
     pos: u64,
     error_armed: bool,
-    stall_done: bool,
 }
 
 impl<R: Read> FaultReader<R> {
     /// Wraps `inner`, injecting the faults described by `plan`.
     pub fn new(inner: R, plan: FaultPlan) -> Self {
         let error_armed = plan.error_at.is_some();
-        Self { inner, plan, pos: 0, error_armed, stall_done: false }
+        Self { inner, plan, pos: 0, error_armed }
     }
-
-    /// Bytes served so far (after faulting).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Unwraps the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-/// Shared connection-fault gate for both adapters: clamps `limit` so the
-/// stall and disconnect offsets land exactly, sleeps through a due stall
-/// (once), and errors on a due disconnect. Returns the clamped limit.
-fn connection_gate(plan: &FaultPlan, pos: u64, mut limit: usize, stall_done: &mut bool) -> io::Result<usize> {
-    if let Some((at, millis)) = plan.stall {
-        if pos < at {
-            limit = limit.min((at - pos) as usize);
-        } else if !*stall_done {
-            *stall_done = true;
-            std::thread::sleep(Duration::from_millis(millis));
-        }
-    }
-    if let Some(at) = plan.disconnect_at {
-        if pos >= at {
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "injected disconnect"));
-        }
-        limit = limit.min((at - pos) as usize);
-    }
-    Ok(limit)
 }
 
 impl<R: Read> Read for FaultReader<R> {
@@ -214,7 +153,6 @@ impl<R: Read> Read for FaultReader<R> {
         if self.plan.max_read > 0 {
             limit = limit.min(self.plan.max_read);
         }
-        limit = connection_gate(&self.plan, self.pos, limit, &mut self.stall_done)?;
         if let Some(at) = self.plan.truncate_at {
             limit = limit.min(at.saturating_sub(self.pos) as usize);
             if limit == 0 && !buf.is_empty() {
@@ -246,24 +184,13 @@ pub struct FaultWriter<W> {
     plan: FaultPlan,
     pos: u64,
     error_armed: bool,
-    stall_done: bool,
 }
 
 impl<W: Write> FaultWriter<W> {
     /// Wraps `inner`, injecting the faults described by `plan`.
     pub fn new(inner: W, plan: FaultPlan) -> Self {
         let error_armed = plan.error_at.is_some();
-        Self { inner, plan, pos: 0, error_armed, stall_done: false }
-    }
-
-    /// Bytes accepted so far (including silently-dropped truncated bytes).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
+        Self { inner, plan, pos: 0, error_armed }
     }
 }
 
@@ -276,7 +203,6 @@ impl<W: Write> Write for FaultWriter<W> {
         if self.plan.max_write > 0 {
             limit = limit.min(self.plan.max_write);
         }
-        limit = connection_gate(&self.plan, self.pos, limit, &mut self.stall_done)?;
         let buf = &buf[..limit];
         if self.error_armed {
             let at = self.plan.error_at.unwrap_or(0);
@@ -374,7 +300,6 @@ mod tests {
         let mut w = FaultWriter::new(&mut sink, FaultPlan::clean().truncate(10));
         w.write_all(&data).unwrap(); // the torn write reports success
         w.flush().unwrap();
-        assert_eq!(w.position(), 32);
         drop(w);
         assert_eq!(sink, vec![0xAAu8; 10]);
     }
@@ -391,53 +316,6 @@ mod tests {
         let mut rest = Vec::new();
         r.read_to_end(&mut rest).unwrap();
         assert_eq!(rest.len(), 24, "after firing once the stream recovers");
-    }
-
-    #[test]
-    fn disconnect_serves_prefix_then_fails_permanently() {
-        let data = vec![0x5Au8; 64];
-        let mut r = FaultReader::new(&data[..], FaultPlan::clean().disconnect(20));
-        let mut out = Vec::new();
-        let mut buf = [0u8; 64];
-        let n = r.read(&mut buf).unwrap();
-        assert_eq!(n, 20, "the bytes before the cut must flow normally");
-        out.extend_from_slice(&buf[..n]);
-        for _ in 0..3 {
-            let err = r.read(&mut buf).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "disconnect is permanent");
-        }
-        assert_eq!(out, vec![0x5Au8; 20]);
-
-        let mut sink = Vec::new();
-        let mut w = FaultWriter::new(&mut sink, FaultPlan::clean().disconnect(20));
-        let n = w.write(&data).unwrap();
-        assert_eq!(n, 20);
-        let err = w.write(&data[20..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        drop(w);
-        assert_eq!(sink, vec![0x5Au8; 20]);
-    }
-
-    #[test]
-    fn stall_fires_once_at_exact_offset_then_resumes() {
-        let data = vec![7u8; 48];
-        // A 30 ms stall at byte 16: the read before the offset stops there,
-        // the next one pays the stall, everything still arrives intact.
-        let mut r = FaultReader::new(&data[..], FaultPlan::clean().stall(16, 30));
-        let mut buf = [0u8; 48];
-        let n = r.read(&mut buf).unwrap();
-        assert_eq!(n, 16, "reads clamp to the stall offset");
-        let start = std::time::Instant::now();
-        let mut out = buf[..n].to_vec();
-        loop {
-            let n = r.read(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            out.extend_from_slice(&buf[..n]);
-        }
-        assert!(start.elapsed() >= Duration::from_millis(25), "the stall must actually block");
-        assert_eq!(out, data, "a stall delays but never damages bytes");
     }
 
     #[test]

@@ -170,8 +170,8 @@ impl GpuEstimate {
         } else {
             OccupancyModel::huffman_lut_bytes(u32::from(max_codeword_len))
         };
-        let decode_kernel_s = cost.estimate_kernel(decode_counters, decode_shared, 1).total();
-        let lz77_kernel_s = cost.estimate_kernel(lz77_counters, 0, 1).total();
+        let decode_kernel_s = cost.estimate_kernel(decode_counters, decode_shared).total();
+        let lz77_kernel_s = cost.estimate_kernel(lz77_counters, 0).total();
         GpuEstimate {
             decode_kernel_s,
             lz77_kernel_s,

@@ -574,7 +574,6 @@ impl StreamDecompressor {
         let (slot, max_match) = (Slot::UpTo(block_size as u64), prelude.max_match_len);
 
         let mut observed: Vec<u32> = Vec::new();
-        let mut configs: Vec<BlockConfig> = Vec::new();
         let mut head = vec![0u8; prelude.frame_overhead()];
         let mut total_out = 0u64;
         let mut blocks_written = 0u64;
@@ -605,7 +604,6 @@ impl StreamDecompressor {
                 // (but validator-legal) block size.
                 read_frame_growing(&mut r, buf, len as usize, idx)?;
                 observed.push(len as u32);
-                configs.push(config);
                 Ok(Some(FrameHead { config, checksum, offset }))
             },
             // Admit each block's declared size, then decode into the
@@ -674,13 +672,6 @@ impl StreamDecompressor {
                 return Err(invalid_field("block_count", declared));
             }
         }
-        // Geometry double-check through the container header validation
-        // (expected block count for the declared totals, per-block caps),
-        // using the configs actually observed in the frames.
-        prelude
-            .to_file_header(trailer.uncompressed_size, configs, trailer.block_compressed_sizes)
-            .validate()
-            .map_err(GompressoError::Format)?;
         writer.flush()?;
 
         Ok(StreamStats {

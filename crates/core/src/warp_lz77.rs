@@ -20,9 +20,11 @@
 //!    ballot/shuffle Multi-Round Resolution algorithm of Figure 5 (MRR), or
 //!    in a single round under the Dependency Elimination guarantee (DE).
 //!
-//! All warp instructions, memory traffic, divergence and rounds are charged
-//! to the [`Warp`] counters so the GPU cost model can translate the run into
-//! an estimated Tesla K40 kernel time.
+//! The lanes' offsets, masks and high-water marks are computed on the host;
+//! the [`Warp`] is charged the prefix sums, ballots, shuffles, rounds,
+//! instructions and memory traffic the GPU kernel would issue for them, so
+//! the GPU cost model can translate the run into an estimated Tesla K40
+//! kernel time.
 //!
 //! The model decodes and validates exactly as the host does: it reads each
 //! block through the host's parse and entropy decode, and the walk first
@@ -41,7 +43,7 @@ use crate::strategy::ResolutionStrategy;
 use crate::Result;
 use gompresso_format::{token_code::TokenCoder, BlockConfig, CompressedFile, SubBlockStats};
 use gompresso_lz77::{Sequence, SequenceBlock};
-use gompresso_simt::{CostModel, KernelCounters, Warp, WarpCounters, WarpMask, WARP_SIZE};
+use gompresso_simt::{CostModel, KernelCounters, Warp, WarpCounters, WARP_SIZE};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -307,22 +309,18 @@ fn prepare_group(warp: &mut Warp, group: &[Sequence], out_cursor: &mut u64) -> [
     // Prefix sum 1 locates each lane's literals in the token stream, prefix
     // sum 2 its output write offset. The warp charges both; the lanes below
     // take the same offsets linearly.
-    let mut literal_lens = [0u64; WARP_SIZE];
-    let mut output_lens = [0u64; WARP_SIZE];
+    warp.prefix_sum();
+    warp.prefix_sum();
     let mut lanes = [LaneState::default(); WARP_SIZE];
-    for (lane, seq) in group.iter().enumerate() {
-        literal_lens[lane] = u64::from(seq.literal_len);
-        output_lens[lane] = u64::from(seq.literal_len) + u64::from(seq.match_len);
-        lanes[lane] = LaneState {
+    for (lane, seq) in lanes.iter_mut().zip(group) {
+        *lane = LaneState {
             literal_len: u64::from(seq.literal_len),
             match_len: u64::from(seq.match_len),
             match_offset: u64::from(seq.match_offset),
             out_start: *out_cursor,
         };
-        *out_cursor += output_lens[lane];
+        *out_cursor = lane.out_end();
     }
-    warp.exclusive_prefix_sum(&literal_lens);
-    warp.exclusive_prefix_sum(&output_lens);
     lanes
 }
 
@@ -387,8 +385,8 @@ fn resolve_single_round(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active:
 /// Step (c), MRR strategy: the Multi-Round Resolution algorithm of Figure 5.
 ///
 /// Lane state lives in `u32` bitmasks (bit `i` = lane `i`), the host-side
-/// shape of what the GPU's ballot produces anyway; every charge to `warp` is
-/// identical to the former `[bool; 32]` walk.
+/// shape of what the GPU's ballot produces; `warp` is charged the ballot
+/// and the high-water-mark shuffle each round.
 fn resolve_multi_round(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: usize, mrr: &mut MrrStats) {
     // Bit `i` of `pending` — lane `i` still has a back-reference to write.
     let mut pending = 0u32;
@@ -410,9 +408,6 @@ fn resolve_multi_round(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: 
     // rounds — the per-round byte tallies fit a fixed lane-sized buffer.
     let mut bytes_by_round = [0u64; WARP_SIZE];
     let mut rounds = 0usize;
-    // The broadcast source values never change across rounds.
-    let lane_values: [u64; WARP_SIZE] =
-        std::array::from_fn(|i| if i < active { lanes[i].out_end() } else { 0 });
 
     loop {
         // Which lanes can resolve this round? A lane may copy once every
@@ -439,9 +434,9 @@ fn resolve_multi_round(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: 
         // The ballot over `pending` is what the GPU uses both to detect
         // termination and to find the last finished sequence (Figure 5,
         // lines 8–10).
-        let pending_mask = warp.ballot_mask(WarpMask(pending));
+        warp.ballot();
         warp.charge_instructions(MRR_ROUND_OVERHEAD_INSTR);
-        if pending_mask.is_empty() {
+        if pending == 0 {
             break;
         }
 
@@ -456,9 +451,8 @@ fn resolve_multi_round(warp: &mut Warp, lanes: &[LaneState; WARP_SIZE], active: 
 
         // Broadcast the new high-water mark from the last writer (one
         // shuffle on the GPU).
-        let done_prefix = first_pending(pending, active);
-        if done_prefix > 0 {
-            let _ = warp.shfl(&lane_values, done_prefix - 1);
+        if first_pending(pending, active) > 0 {
+            warp.shfl();
         }
         hwm = high_water_mark(lanes, active, pending);
     }

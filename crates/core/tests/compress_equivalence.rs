@@ -356,7 +356,7 @@ fn ref_byte_encode(block: &SequenceBlock) -> ByteBlock {
 // ---------------------------------------------------------------------------
 
 fn ref_compress_file(data: &[u8], cfg: &CompressorConfig) -> CompressedFile {
-    let matcher_cfg = cfg.matcher_config();
+    let matcher_cfg = cfg.base_plan().matcher_config(&cfg.file_settings());
     let coder =
         TokenCoder::new(cfg.min_match_len as u32, cfg.max_match_len as u32, cfg.window_size as u32).unwrap();
     let payloads: Vec<BlockPayload> = if data.is_empty() {
@@ -502,7 +502,7 @@ proptest! {
     fn fast_compressor_matches_reference(input in mixed_input()) {
         for cconf in configs() {
             // Layer 1: the matcher produces identical sequence streams.
-            let matcher_cfg = cconf.matcher_config();
+            let matcher_cfg = cconf.base_plan().matcher_config(&cconf.file_settings());
             let fast_matcher = Matcher::new(matcher_cfg.clone());
             for chunk in input.chunks(cconf.block_size.max(1)) {
                 let fast = fast_matcher.compress(chunk);

@@ -47,7 +47,7 @@
 
 use crate::block_config::{BlockConfig, BLOCK_CONFIG_LEN};
 use crate::hash::{xxh64, CHECKSUM_SEED};
-use crate::header::{EncodingMode, FileHeader, MAX_BLOCK_COUNT};
+use crate::header::{EncodingMode, MAX_BLOCK_COUNT};
 use crate::{FormatError, Result, MAGIC};
 use gompresso_bitstream::{read_varint, write_varint, ByteReader, ByteWriter};
 
@@ -305,27 +305,6 @@ impl StreamPrelude {
         };
         let checksum = if self.checksummed() { Some(r.read_u64_le()?) } else { None };
         Ok((config, checksum))
-    }
-
-    /// Converts the prelude plus the (now known) block tables into a
-    /// [`FileHeader`], so the stream reader can reuse the header-level
-    /// consistency validation.
-    pub fn to_file_header(
-        &self,
-        uncompressed_size: u64,
-        block_configs: Vec<BlockConfig>,
-        block_compressed_sizes: Vec<u32>,
-    ) -> FileHeader {
-        FileHeader {
-            window_size: self.window_size,
-            min_match_len: self.min_match_len,
-            max_match_len: self.max_match_len,
-            uncompressed_size,
-            block_size: self.block_size,
-            block_configs,
-            block_compressed_sizes,
-            block_checksums: Vec::new(),
-        }
     }
 }
 
@@ -617,16 +596,5 @@ mod tests {
         let (p, ok) = StreamPrelude::deserialize_lenient(&bad).unwrap();
         assert!(!ok);
         assert_eq!(p.block_size, sample_prelude().block_size);
-    }
-
-    #[test]
-    fn to_file_header_reuses_container_validation() {
-        let p = sample_prelude();
-        let config = BlockConfig::legacy_uniform(EncodingMode::Bit, 16, 10);
-        let header = p.to_file_header(1_000_000, vec![config; 4], vec![100_000, 90_000, 85_000, 60_000]);
-        header.validate().unwrap();
-        // An inconsistent table is caught by the header validation.
-        let bad = p.to_file_header(1_000_000, vec![config], vec![100_000]);
-        assert!(bad.validate().is_err());
     }
 }

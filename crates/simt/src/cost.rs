@@ -16,7 +16,8 @@
 //!
 //! The kernel time is the maximum of the three components plus the launch
 //! overhead. The estimate is intentionally transparent rather than
-//! cycle-accurate; `EXPERIMENTS.md` compares its output against the paper.
+//! cycle-accurate; `DESIGN.md` §5 lists the paper's relationships it is
+//! calibrated to reproduce.
 
 use crate::counters::KernelCounters;
 use crate::device::{GpuDeviceModel, OccupancyModel};
@@ -40,17 +41,6 @@ impl KernelTime {
     /// overhead).
     pub fn total(&self) -> f64 {
         self.compute_s.max(self.memory_s).max(self.critical_path_s) + self.launch_s
-    }
-
-    /// Which component dominates this kernel.
-    pub fn bound_by(&self) -> &'static str {
-        if self.memory_s >= self.compute_s && self.memory_s >= self.critical_path_s {
-            "memory"
-        } else if self.compute_s >= self.critical_path_s {
-            "compute"
-        } else {
-            "critical-path"
-        }
     }
 }
 
@@ -85,21 +75,11 @@ impl CostModel {
         &self.pcie
     }
 
-    /// The occupancy model.
-    pub fn occupancy(&self) -> &OccupancyModel {
-        &self.occupancy
-    }
-
     /// Estimates the execution time of a kernel described by `counters`,
-    /// where each thread group uses `shared_bytes_per_group` bytes of shared
-    /// memory and `warps_per_group` warps (1 for Gompresso's decompression
-    /// kernels).
-    pub fn estimate_kernel(
-        &self,
-        counters: &KernelCounters,
-        shared_bytes_per_group: u32,
-        warps_per_group: u32,
-    ) -> KernelTime {
+    /// where each thread group is one warp (one data block, as in both of
+    /// Gompresso's decompression kernels) using `shared_bytes_per_group`
+    /// bytes of shared memory.
+    pub fn estimate_kernel(&self, counters: &KernelCounters, shared_bytes_per_group: u32) -> KernelTime {
         let device = self.device();
         if counters.warps == 0 {
             return KernelTime { compute_s: 0.0, memory_s: 0.0, critical_path_s: 0.0, launch_s: 0.0 };
@@ -107,14 +87,12 @@ impl CostModel {
 
         // Occupancy de-rating: fewer resident warps per MP than needed for
         // latency hiding scales down the sustained issue rate.
-        let groups_per_mp = self.occupancy.groups_per_mp(shared_bytes_per_group, warps_per_group).max(1);
-        let resident_warps_per_mp = groups_per_mp * warps_per_group.max(1);
-        let occupancy_factor =
-            (f64::from(resident_warps_per_mp) / f64::from(self.warps_for_full_issue)).min(1.0);
+        let groups_per_mp = self.occupancy.groups_per_mp(shared_bytes_per_group).max(1);
+        let occupancy_factor = (f64::from(groups_per_mp) / f64::from(self.warps_for_full_issue)).min(1.0);
 
         // If the grid is smaller than the device, only part of the machine
         // is busy at all.
-        let usable_mps = (counters.warps as f64 / f64::from(warps_per_group.max(1)))
+        let usable_mps = (counters.warps as f64)
             .min(f64::from(device.multiprocessors) * f64::from(groups_per_mp))
             / f64::from(groups_per_mp);
         let grid_factor = (usable_mps / f64::from(device.multiprocessors))
@@ -145,15 +123,6 @@ impl CostModel {
     pub fn output_transfer_s(&self, bytes: u64) -> f64 {
         self.pcie.transfer_time(bytes)
     }
-
-    /// Decompression bandwidth in bytes/second given uncompressed size and
-    /// total time.
-    pub fn bandwidth(uncompressed_bytes: u64, total_seconds: f64) -> f64 {
-        if total_seconds <= 0.0 {
-            return 0.0;
-        }
-        uncompressed_bytes as f64 / total_seconds
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +144,7 @@ mod tests {
     #[test]
     fn empty_kernel_is_free() {
         let model = CostModel::tesla_k40();
-        let t = model.estimate_kernel(&KernelCounters::new(), 0, 1);
+        let t = model.estimate_kernel(&KernelCounters::new(), 0);
         assert_eq!(t.total(), 0.0);
     }
 
@@ -184,8 +153,8 @@ mod tests {
         let model = CostModel::tesla_k40();
         // Very few instructions, lots of bytes.
         let k = kernel_with(10_000, 10, 1 << 20);
-        let t = model.estimate_kernel(&k, 0, 1);
-        assert_eq!(t.bound_by(), "memory");
+        let t = model.estimate_kernel(&k, 0);
+        assert!(t.memory_s >= t.compute_s && t.memory_s >= t.critical_path_s);
         // 10 GiB at ~216 GB/s sustained ≈ 46 ms.
         assert!(t.memory_s > 0.01 && t.memory_s < 0.2, "memory_s = {}", t.memory_s);
     }
@@ -195,7 +164,7 @@ mod tests {
         let model = CostModel::tesla_k40();
         // Many instructions, almost no memory traffic.
         let k = kernel_with(10_000, 100_000, 16);
-        let t = model.estimate_kernel(&k, 0, 1);
+        let t = model.estimate_kernel(&k, 0);
         assert!(t.compute_s > t.memory_s);
     }
 
@@ -211,8 +180,8 @@ mod tests {
             w.charge_instructions(10);
             k.add_warp(&w);
         }
-        let t = model.estimate_kernel(&k, 0, 1);
-        assert_eq!(t.bound_by(), "critical-path");
+        let t = model.estimate_kernel(&k, 0);
+        assert!(t.critical_path_s > t.compute_s && t.critical_path_s > t.memory_s);
         // 10M instructions at 745 MHz ≈ 13.4 ms.
         assert!((t.critical_path_s - 10_000_000.0 / 745.0e6).abs() < 1e-9);
     }
@@ -221,8 +190,8 @@ mod tests {
     fn lower_occupancy_slows_compute() {
         let model = CostModel::tesla_k40();
         let k = kernel_with(10_000, 10_000, 64);
-        let high_occ = model.estimate_kernel(&k, OccupancyModel::huffman_lut_bytes(10), 1);
-        let low_occ = model.estimate_kernel(&k, OccupancyModel::huffman_lut_bytes(12), 1);
+        let high_occ = model.estimate_kernel(&k, OccupancyModel::huffman_lut_bytes(10));
+        let low_occ = model.estimate_kernel(&k, OccupancyModel::huffman_lut_bytes(12));
         assert!(low_occ.compute_s > high_occ.compute_s);
     }
 
@@ -231,17 +200,10 @@ mod tests {
         let model = CostModel::tesla_k40();
         let small = kernel_with(1, 1_000_000, 64);
         let large = kernel_with(1_000, 1_000_000, 64);
-        let t_small = model.estimate_kernel(&small, 0, 1);
-        let t_large = model.estimate_kernel(&large, 0, 1);
+        let t_small = model.estimate_kernel(&small, 0);
+        let t_large = model.estimate_kernel(&large, 0);
         // 1000× the total work on a full device should take much less than
         // 1000× the single-warp time.
         assert!(t_large.compute_s < t_small.compute_s * 200.0);
-    }
-
-    #[test]
-    fn bandwidth_helper() {
-        assert_eq!(CostModel::bandwidth(1_000_000, 0.0), 0.0);
-        let gbps = CostModel::bandwidth(2 * 1_000_000_000, 1.0);
-        assert!((gbps - 2.0e9).abs() < 1.0);
     }
 }

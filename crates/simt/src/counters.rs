@@ -1,4 +1,4 @@
-//! Execution counters collected by the warp simulator.
+//! Execution counters a [`crate::Warp`] accumulates while a modelled kernel runs.
 //!
 //! The cost model (see [`crate::cost`]) converts these counters into
 //! estimated kernel times. The decompression kernels in `gompresso-core`
@@ -32,8 +32,6 @@ pub struct WarpCounters {
     pub ballots: u64,
     /// Warp-shuffle (`shfl`) instructions issued.
     pub shuffles: u64,
-    /// Number of times the warp executed a branch where lanes diverged.
-    pub divergent_branches: u64,
     /// Number of iterations of an iterative resolution loop (MRR rounds).
     pub rounds: u64,
     /// Bytes read from global memory.
@@ -72,12 +70,6 @@ impl WarpCounters {
     /// Charges a shuffle instruction.
     pub fn charge_shuffle(&mut self) {
         self.shuffles += 1;
-        self.instructions += 1;
-    }
-
-    /// Records a divergent branch (lanes took different paths).
-    pub fn charge_divergence(&mut self) {
-        self.divergent_branches += 1;
         self.instructions += 1;
     }
 
@@ -134,7 +126,6 @@ impl WarpCounters {
         self.instructions += other.instructions;
         self.ballots += other.ballots;
         self.shuffles += other.shuffles;
-        self.divergent_branches += other.divergent_branches;
         self.rounds += other.rounds;
         self.global_read_bytes += other.global_read_bytes;
         self.global_write_bytes += other.global_write_bytes;
@@ -155,8 +146,6 @@ pub struct KernelCounters {
     /// Maximum instruction count observed in a single warp — the critical
     /// path when warps outnumber execution resources only marginally.
     pub max_warp_instructions: u64,
-    /// Maximum number of MRR rounds observed in any warp.
-    pub max_rounds: u64,
 }
 
 impl KernelCounters {
@@ -170,24 +159,6 @@ impl KernelCounters {
         self.totals.merge(warp);
         self.warps += 1;
         self.max_warp_instructions = self.max_warp_instructions.max(warp.instructions);
-        self.max_rounds = self.max_rounds.max(warp.rounds);
-    }
-
-    /// Merges another kernel's counters (e.g. decode + decompress phases).
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.totals.merge(&other.totals);
-        self.warps += other.warps;
-        self.max_warp_instructions = self.max_warp_instructions.max(other.max_warp_instructions);
-        self.max_rounds = self.max_rounds.max(other.max_rounds);
-    }
-
-    /// Mean MRR rounds per warp, or 0 when no warps ran.
-    pub fn mean_rounds(&self) -> f64 {
-        if self.warps == 0 {
-            0.0
-        } else {
-            self.totals.rounds as f64 / self.warps as f64
-        }
     }
 }
 
@@ -242,8 +213,7 @@ mod tests {
         k.add_warp(&w2);
         assert_eq!(k.warps, 2);
         assert_eq!(k.max_warp_instructions, 300);
-        assert_eq!(k.max_rounds, 2);
-        assert!((k.mean_rounds() - 1.5).abs() < 1e-12);
+        assert_eq!(k.totals.rounds, 3);
     }
 
     #[test]
@@ -253,11 +223,10 @@ mod tests {
         a.charge_shuffle();
         let mut b = WarpCounters::new();
         b.charge_ballot();
-        b.charge_divergence();
+        b.charge_shuffle();
         a.merge(&b);
         assert_eq!(a.ballots, 2);
-        assert_eq!(a.shuffles, 1);
-        assert_eq!(a.divergent_branches, 1);
+        assert_eq!(a.shuffles, 2);
         assert_eq!(a.instructions, 4);
     }
 }

@@ -12,8 +12,8 @@
 //!   `2^CWL`-entry decode LUTs resident in shared memory (Section V-C).
 //!
 //! [`GpuDeviceModel`] captures these parameters; [`OccupancyModel`] derives
-//! the number of concurrently resident warps from the per-block shared
-//! memory footprint.
+//! the number of concurrently resident one-warp thread groups from the
+//! per-block shared memory footprint.
 
 /// Static description of a GPU device.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,31 +71,6 @@ impl GpuDeviceModel {
         }
     }
 
-    /// A smaller, slower GPU useful in tests for exercising occupancy limits
-    /// without large inputs.
-    pub fn small_test_gpu() -> Self {
-        GpuDeviceModel {
-            name: "test-gpu",
-            multiprocessors: 2,
-            cores_per_mp: 64,
-            clock_hz: 100.0e6,
-            memory_bandwidth: 10.0e9,
-            memory_efficiency: 0.8,
-            shared_memory_per_mp: 16 * 1024,
-            max_warps_per_mp: 8,
-            max_groups_per_mp: 4,
-            issue_per_mp_per_clock: 1.0,
-            kernel_launch_overhead: 5.0e-6,
-            board_power_w: 50.0,
-            idle_power_w: 5.0,
-        }
-    }
-
-    /// Total CUDA cores on the device.
-    pub fn total_cores(&self) -> u32 {
-        self.multiprocessors * self.cores_per_mp
-    }
-
     /// Aggregate warp-instruction issue rate (instructions/second).
     pub fn peak_issue_rate(&self) -> f64 {
         f64::from(self.multiprocessors) * self.issue_per_mp_per_clock * self.clock_hz
@@ -107,8 +82,8 @@ impl GpuDeviceModel {
     }
 }
 
-/// Derives how many warps / thread groups are concurrently resident given
-/// the per-group shared-memory footprint.
+/// Derives how many thread groups are concurrently resident given the
+/// per-group shared-memory footprint.
 ///
 /// In Gompresso each thread group handles one data block and needs shared
 /// memory for its two Huffman decode LUTs (2 × 2^CWL entries × entry size);
@@ -129,28 +104,15 @@ impl OccupancyModel {
         &self.device
     }
 
-    /// Number of thread groups resident per multiprocessor when each group
-    /// uses `shared_bytes_per_group` bytes of shared memory and
-    /// `warps_per_group` warps.
-    pub fn groups_per_mp(&self, shared_bytes_per_group: u32, warps_per_group: u32) -> u32 {
+    /// Number of one-warp thread groups resident per multiprocessor when
+    /// each group uses `shared_bytes_per_group` bytes of shared memory.
+    pub fn groups_per_mp(&self, shared_bytes_per_group: u32) -> u32 {
         let by_shared = self
             .device
             .shared_memory_per_mp
             .checked_div(shared_bytes_per_group)
             .unwrap_or(self.device.max_groups_per_mp);
-        let by_warps = self
-            .device
-            .max_warps_per_mp
-            .checked_div(warps_per_group)
-            .unwrap_or(self.device.max_groups_per_mp);
-        by_shared.min(by_warps).min(self.device.max_groups_per_mp)
-    }
-
-    /// Total number of warps concurrently resident on the whole device.
-    pub fn resident_warps(&self, shared_bytes_per_group: u32, warps_per_group: u32) -> u32 {
-        self.groups_per_mp(shared_bytes_per_group, warps_per_group)
-            * warps_per_group.max(1)
-            * self.device.multiprocessors
+        by_shared.min(self.device.max_warps_per_mp).min(self.device.max_groups_per_mp)
     }
 
     /// Shared-memory footprint of the Huffman decode tables for one data
@@ -170,7 +132,7 @@ mod tests {
     #[test]
     fn k40_parameters_are_consistent() {
         let k40 = GpuDeviceModel::tesla_k40();
-        assert_eq!(k40.total_cores(), 2880);
+        assert_eq!(k40.multiprocessors * k40.cores_per_mp, 2880);
         assert!(k40.peak_issue_rate() > 1e9);
         assert!(k40.sustained_memory_bandwidth() < k40.memory_bandwidth);
     }
@@ -188,26 +150,18 @@ mod tests {
         let occ = OccupancyModel::new(GpuDeviceModel::tesla_k40());
         // CWL=10: 8 KiB per group → 6 groups fit in 48 KiB, below the
         // hardware group limit of 16.
-        assert_eq!(occ.groups_per_mp(OccupancyModel::huffman_lut_bytes(10), 1), 6);
+        assert_eq!(occ.groups_per_mp(OccupancyModel::huffman_lut_bytes(10)), 6);
         // CWL=12: 32 KiB per group → only 1 group per SMX.
-        assert_eq!(occ.groups_per_mp(OccupancyModel::huffman_lut_bytes(12), 1), 1);
+        assert_eq!(occ.groups_per_mp(OccupancyModel::huffman_lut_bytes(12)), 1);
         // No shared memory use → limited by the hardware group cap.
-        assert_eq!(occ.groups_per_mp(0, 1), 16);
+        assert_eq!(occ.groups_per_mp(0), 16);
     }
 
     #[test]
     fn occupancy_limited_by_warps() {
-        let occ = OccupancyModel::new(GpuDeviceModel::tesla_k40());
-        // 8 warps per group with tiny shared use → limited by 64/8 = 8.
-        assert_eq!(occ.groups_per_mp(1024, 8), 8);
-        assert_eq!(occ.resident_warps(1024, 8), 8 * 8 * 15);
-    }
-
-    #[test]
-    fn resident_warps_scale_with_multiprocessors() {
-        let occ = OccupancyModel::new(GpuDeviceModel::small_test_gpu());
-        let warps = occ.resident_warps(OccupancyModel::huffman_lut_bytes(10), 1);
-        // 16 KiB shared / 8 KiB per group = 2 groups per MP × 2 MPs.
-        assert_eq!(warps, 4);
+        // Each group is one warp, so a device with fewer warp slots than
+        // group slots caps the groups at its warp slots.
+        let device = GpuDeviceModel { max_warps_per_mp: 8, ..GpuDeviceModel::tesla_k40() };
+        assert_eq!(OccupancyModel::new(device).groups_per_mp(1024), 8);
     }
 }

@@ -1,19 +1,18 @@
-//! Warp-synchronous SIMT execution model and GPU cost model.
+//! Warp cost accounting and GPU cost model.
 //!
 //! The Gompresso paper runs its decompressor on an NVIDIA Tesla K40: each
 //! compressed data block is handled by one *warp* of 32 threads executing in
 //! lock step, coordinating through the `ballot` and `shfl` warp instructions.
-//! No GPU is available in this reproduction, so this crate provides the
-//! substitute substrate described in `DESIGN.md`:
+//! No GPU is available in this reproduction, so the decompression kernels in
+//! `gompresso-core` compute every lane's values on the host and charge what
+//! the paper's Figure 5 kernels would issue to the accounts this crate
+//! provides (see `DESIGN.md`):
 //!
-//! * [`warp`] — deterministic warp-level primitives (`ballot`, `shfl`,
-//!   shuffle-based prefix sums, leading-zero counts, lane predicates)
-//!   operating on 32-lane state arrays. The decompression kernels in
-//!   `gompresso-core` are written against these primitives in the same
-//!   warp-synchronous style as the paper's Figure 5 pseudo-code, so
-//!   round counts, divergence and utilization are directly observable.
-//! * [`counters`] — instruction / memory-transaction / divergence counters
-//!   accumulated while a simulated kernel runs.
+//! * [`warp`] — a [`Warp`] charges ballots, shuffles, shuffle-based prefix
+//!   sums, resolution rounds and memory accesses, so round counts and lane
+//!   utilization are directly observable.
+//! * [`counters`] — the instruction / round / memory-transaction counters a
+//!   warp accumulates, and their aggregate over a kernel launch.
 //! * [`device`] — an analytical device model parameterised for the Tesla K40
 //!   (SMX count, clock, DRAM bandwidth, shared-memory capacity) including
 //!   the shared-memory occupancy limit that the paper identifies as the
@@ -21,7 +20,7 @@
 //! * [`pcie`] — a PCI Express 3.0 x16 link model used to reproduce the
 //!   host↔device transfer costs that dominate Gompresso/Byte in Figure 13.
 //! * [`cost`] — converts counters plus device parameters into estimated
-//!   kernel execution times and end-to-end decompression bandwidths.
+//!   kernel execution times and PCIe transfer times.
 //!
 //! The model is intentionally simple and transparent: it is calibrated to
 //! reproduce the *shape* of the paper's results (who wins, by what factor,
@@ -39,5 +38,5 @@ pub mod warp;
 pub use cost::{CostModel, KernelTime};
 pub use counters::{KernelCounters, MemoryScope, WarpCounters};
 pub use device::{GpuDeviceModel, OccupancyModel};
-pub use pcie::{PcieGeneration, PcieLink};
-pub use warp::{ballot, lane_id_iter, shfl, shfl_up, Warp, WarpMask, WARP_SIZE};
+pub use pcie::PcieLink;
+pub use warp::{Warp, WARP_SIZE};

@@ -8,34 +8,13 @@
 //! test). This module provides the link model used to add those transfer
 //! costs to the simulated kernel times.
 
-/// PCI Express generation (per-lane raw signalling rate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PcieGeneration {
-    /// PCIe 2.0: 5 GT/s, 8b/10b encoding.
-    Gen2,
-    /// PCIe 3.0: 8 GT/s, 128b/130b encoding (the paper's system).
-    Gen3,
-    /// PCIe 4.0: 16 GT/s, 128b/130b encoding.
-    Gen4,
-}
+/// Payload bandwidth of one PCIe 3.0 lane in bytes/second: 8 GT/s after
+/// 128b/130b encoding, ≈ 985 MB/s.
+const GEN3_LANE_BANDWIDTH: f64 = 8.0e9 * (128.0 / 130.0) / 8.0;
 
-impl PcieGeneration {
-    /// Effective payload bandwidth per lane in bytes/second after encoding
-    /// overhead.
-    pub fn per_lane_bandwidth(self) -> f64 {
-        match self {
-            PcieGeneration::Gen2 => 5.0e9 / 10.0 * 8.0 / 8.0 * 0.8 / 0.8 / 2.0 * 2.0 / 2.0, // 500 MB/s
-            PcieGeneration::Gen3 => 8.0e9 * (128.0 / 130.0) / 8.0,                          // ≈ 985 MB/s
-            PcieGeneration::Gen4 => 16.0e9 * (128.0 / 130.0) / 8.0,                         // ≈ 1969 MB/s
-        }
-    }
-}
-
-/// A host↔device PCIe link.
+/// A host↔device PCIe 3.0 link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcieLink {
-    /// Link generation.
-    pub generation: PcieGeneration,
     /// Number of lanes (x16 in the paper's system).
     pub lanes: u32,
     /// Fraction of nominal bandwidth achievable in practice (protocol and
@@ -49,12 +28,12 @@ pub struct PcieLink {
 impl PcieLink {
     /// PCIe 3.0 x16 link as measured in the paper (≈13 GB/s sustained).
     pub fn gen3_x16() -> Self {
-        PcieLink { generation: PcieGeneration::Gen3, lanes: 16, efficiency: 0.825, latency: 15.0e-6 }
+        PcieLink { lanes: 16, efficiency: 0.825, latency: 15.0e-6 }
     }
 
     /// Nominal (marketing) bandwidth of the link in bytes/second.
     pub fn nominal_bandwidth(&self) -> f64 {
-        self.generation.per_lane_bandwidth() * f64::from(self.lanes)
+        GEN3_LANE_BANDWIDTH * f64::from(self.lanes)
     }
 
     /// Sustained bandwidth in bytes/second.
@@ -68,13 +47,6 @@ impl PcieLink {
             return 0.0;
         }
         self.latency + bytes as f64 / self.sustained_bandwidth()
-    }
-
-    /// Time to move `in_bytes` to the device and `out_bytes` back, assuming
-    /// the two directions are not overlapped (the paper reports end-to-end
-    /// times without overlapping transfers and kernels).
-    pub fn round_trip_time(&self, in_bytes: u64, out_bytes: u64) -> f64 {
-        self.transfer_time(in_bytes) + self.transfer_time(out_bytes)
     }
 }
 
@@ -104,18 +76,5 @@ mod tests {
         assert_eq!(link.transfer_time(0), 0.0);
         // A tiny transfer is dominated by latency.
         assert!(link.transfer_time(1) >= link.latency);
-    }
-
-    #[test]
-    fn round_trip_is_sum_of_directions() {
-        let link = PcieLink::gen3_x16();
-        let rt = link.round_trip_time(1000, 3000);
-        assert!((rt - (link.transfer_time(1000) + link.transfer_time(3000))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn generations_are_ordered() {
-        assert!(PcieGeneration::Gen2.per_lane_bandwidth() < PcieGeneration::Gen3.per_lane_bandwidth());
-        assert!(PcieGeneration::Gen3.per_lane_bandwidth() < PcieGeneration::Gen4.per_lane_bandwidth());
     }
 }

@@ -1,16 +1,13 @@
-//! Deterministic warp-level primitives.
+//! The warp as a cost account.
 //!
 //! A warp is 32 threads executing in lock step. GPU kernels coordinate the
 //! lanes of a warp with voting (`ballot`) and data-exchange (`shfl`)
-//! instructions; the Gompresso decompressor uses exactly these two (paper,
-//! Section II-B and Figure 5). This module models a warp as explicit
-//! 32-element lane-state arrays and provides the same primitives as pure
-//! functions plus a [`Warp`] wrapper that also charges the corresponding
-//! instruction costs to a [`WarpCounters`] record.
-//!
-//! Writing the decompression kernels against these primitives keeps them a
-//! line-by-line transliteration of the paper's warp-synchronous pseudo-code
-//! while remaining ordinary, safe, deterministic Rust.
+//! instructions; the Gompresso decompressor uses exactly these two, plus
+//! shuffle-based prefix sums (paper, Section II-B and Figure 5). The kernels
+//! in `gompresso-core` compute every lane's values on the host; a [`Warp`]
+//! only charges what the GPU would issue for each primitive, resolution
+//! round and memory access to a [`WarpCounters`] record, which the cost
+//! model later turns into a kernel time.
 
 use crate::counters::{MemoryScope, WarpCounters};
 
@@ -18,138 +15,7 @@ use crate::counters::{MemoryScope, WarpCounters};
 /// assumed by the paper's use of 32-bit ballot masks).
 pub const WARP_SIZE: usize = 32;
 
-/// Result of a warp vote: one bit per lane, lane `i` at bit `i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarpMask(pub u32);
-
-impl WarpMask {
-    /// Mask with no lanes set.
-    pub const EMPTY: WarpMask = WarpMask(0);
-    /// Mask with all 32 lanes set.
-    pub const FULL: WarpMask = WarpMask(u32::MAX);
-
-    /// Builds a mask from per-lane predicate values.
-    pub fn from_lanes(lanes: &[bool; WARP_SIZE]) -> Self {
-        let mut bits = 0u32;
-        for (i, &b) in lanes.iter().enumerate() {
-            if b {
-                bits |= 1 << i;
-            }
-        }
-        WarpMask(bits)
-    }
-
-    /// Whether no lane is set.
-    pub fn is_empty(&self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of lanes set.
-    pub fn count(&self) -> u32 {
-        self.0.count_ones()
-    }
-
-    /// Whether lane `lane` is set.
-    pub fn lane(&self, lane: usize) -> bool {
-        debug_assert!(lane < WARP_SIZE);
-        self.0 & (1 << lane) != 0
-    }
-
-    /// Lowest set lane, if any.
-    pub fn first_set(&self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.0.trailing_zeros() as usize)
-        }
-    }
-
-    /// Highest set lane, if any.
-    pub fn last_set(&self) -> Option<usize> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(31 - self.0.leading_zeros() as usize)
-        }
-    }
-
-    /// Number of leading zero bits, i.e. unset lanes above the highest set
-    /// lane (this is the `count_leading_zero_bits` of the paper's Figure 5).
-    pub fn leading_zeros(&self) -> u32 {
-        self.0.leading_zeros()
-    }
-
-    /// Number of consecutive set lanes starting at lane 0.
-    ///
-    /// Used by the MRR high-water-mark update: if the "done" mask has a set
-    /// prefix of length `p`, lanes `0..p` have all written their output and
-    /// the gap-free output extends past lane `p - 1`'s write range.
-    pub fn contiguous_prefix_len(&self) -> u32 {
-        (!self.0).trailing_zeros().min(WARP_SIZE as u32)
-    }
-
-    /// Bitwise complement restricted to the 32 lanes.
-    pub fn complement(&self) -> WarpMask {
-        WarpMask(!self.0)
-    }
-}
-
-/// Pure ballot: collects one predicate bit per lane into a mask.
-pub fn ballot(lanes: &[bool; WARP_SIZE]) -> WarpMask {
-    WarpMask::from_lanes(lanes)
-}
-
-/// Pure shuffle: every lane reads the value held by `src_lane`.
-///
-/// Mirrors CUDA `__shfl_sync(mask, v, src_lane)` with a full mask. Panics if
-/// `src_lane >= 32`, which on real hardware would be an undefined lane read;
-/// the decompressor never produces such a lane index.
-pub fn shfl<T: Copy>(values: &[T; WARP_SIZE], src_lane: usize) -> T {
-    assert!(src_lane < WARP_SIZE, "shfl from out-of-range lane {src_lane}");
-    values[src_lane]
-}
-
-/// Pure shuffle-up: lane `i` reads the value of lane `i - delta`; lanes with
-/// `i < delta` keep their own value (CUDA `__shfl_up_sync` semantics).
-pub fn shfl_up<T: Copy>(values: &[T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-    let mut out = *values;
-    for i in (delta..WARP_SIZE).rev() {
-        out[i] = values[i - delta];
-    }
-    out
-}
-
-/// Iterator over lane ids `0..32`, provided for readability at call sites.
-pub fn lane_id_iter() -> impl Iterator<Item = usize> {
-    0..WARP_SIZE
-}
-
-/// Pure lane-by-lane Hillis–Steele exclusive prefix sum (5 shuffle-up/add
-/// steps), retained as the executable reference for
-/// [`Warp::exclusive_prefix_sum`]'s linear host computation.
-pub fn exclusive_prefix_sum_reference(values: &[u64; WARP_SIZE]) -> ([u64; WARP_SIZE], u64) {
-    let mut inclusive = *values;
-    let mut delta = 1usize;
-    while delta < WARP_SIZE {
-        let shifted = shfl_up(&inclusive, delta);
-        for i in lane_id_iter() {
-            if i >= delta {
-                inclusive[i] += shifted[i];
-            }
-        }
-        delta <<= 1;
-    }
-    let total = inclusive[WARP_SIZE - 1];
-    let mut exclusive = [0u64; WARP_SIZE];
-    exclusive[1..].copy_from_slice(&inclusive[..WARP_SIZE - 1]);
-    (exclusive, total)
-}
-
-/// A warp execution context: the warp-level primitives plus cost accounting.
-///
-/// Kernels hold one `Warp` per simulated warp and call its methods instead of
-/// the free functions so that every ballot, shuffle, prefix sum and memory
-/// access is charged to the counters that the GPU cost model later consumes.
+/// The counters one simulated warp accumulates while a kernel runs.
 #[derive(Debug, Default, Clone)]
 pub struct Warp {
     counters: WarpCounters,
@@ -161,75 +27,27 @@ impl Warp {
         Self { counters: WarpCounters::new() }
     }
 
-    /// Read-only access to the accumulated counters.
-    pub fn counters(&self) -> &WarpCounters {
-        &self.counters
-    }
-
     /// Consumes the warp, returning its counters.
     pub fn into_counters(self) -> WarpCounters {
         self.counters
     }
 
-    /// Warp vote across the lanes (charged as one `ballot` instruction).
-    pub fn ballot(&mut self, lanes: &[bool; WARP_SIZE]) -> WarpMask {
+    /// Charges one warp vote (`ballot`).
+    pub fn ballot(&mut self) {
         self.counters.charge_ballot();
-        ballot(lanes)
     }
 
-    /// Warp vote whose per-lane predicates the caller already holds as a
-    /// bitmask. Charges exactly like [`Self::ballot`]; kernels that track
-    /// lane state in masks (the MRR resolver) use it to avoid materializing
-    /// a `[bool; 32]` just to vote on it.
-    pub fn ballot_mask(&mut self, mask: WarpMask) -> WarpMask {
-        self.counters.charge_ballot();
-        mask
-    }
-
-    /// Broadcast of lane `src_lane`'s value to all lanes (one `shfl`).
-    pub fn shfl<T: Copy>(&mut self, values: &[T; WARP_SIZE], src_lane: usize) -> T {
+    /// Charges one broadcast of a lane's value to the warp (`shfl`).
+    pub fn shfl(&mut self) {
         self.counters.charge_shuffle();
-        shfl(values, src_lane)
     }
 
-    /// Exclusive prefix sum across the warp, charged as the standard
-    /// shuffle-up/Hillis–Steele scheme (5 shuffle steps for 32 lanes).
-    ///
-    /// Lane `i` of the result holds `sum(values[0..i])`; the total sum is
-    /// additionally returned, which the decompressor uses to advance its
-    /// output cursor by the bytes produced by the whole group of sequences.
-    ///
-    /// The *charges* model the warp algorithm; the values themselves are
-    /// computed with a linear host pass, which is exact-identical for `u64`
-    /// addition and keeps this off the decompression hot path's flame graph
-    /// (two calls per 32-sequence group). [`exclusive_prefix_sum_reference`]
-    /// retains the lane-by-lane Hillis–Steele walk for tests.
-    pub fn exclusive_prefix_sum(&mut self, values: &[u64; WARP_SIZE]) -> ([u64; WARP_SIZE], u64) {
-        // log2(32) = 5 shuffle+add steps, each one warp instruction pair.
-        let mut delta = 1usize;
-        while delta < WARP_SIZE {
+    /// Charges an exclusive prefix sum across the warp as the standard
+    /// shuffle-up/Hillis–Steele scheme: log2(32) = 5 steps of one shuffle
+    /// and one add each.
+    pub fn prefix_sum(&mut self) {
+        for _ in 0..WARP_SIZE.ilog2() {
             self.counters.charge_shuffle();
-            self.counters.charge_instructions(1);
-            delta <<= 1;
-        }
-        let mut exclusive = [0u64; WARP_SIZE];
-        let mut acc = 0u64;
-        for (out, &v) in exclusive.iter_mut().zip(values.iter()) {
-            *out = acc;
-            acc += v;
-        }
-        (exclusive, acc)
-    }
-
-    /// Records a branch whose outcome differs across lanes.
-    ///
-    /// `taken` is the mask of lanes taking the branch; divergence is charged
-    /// only if the warp is split (some but not all active lanes take it).
-    pub fn branch(&mut self, taken: WarpMask, active: WarpMask) {
-        let taken_active = taken.0 & active.0;
-        if taken_active != 0 && taken_active != active.0 {
-            self.counters.charge_divergence();
-        } else {
             self.counters.charge_instructions(1);
         }
     }
@@ -269,130 +87,19 @@ impl Warp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
-    fn ballot_packs_lane_bits() {
-        let mut lanes = [false; WARP_SIZE];
-        lanes[0] = true;
-        lanes[5] = true;
-        lanes[31] = true;
-        let mask = ballot(&lanes);
-        assert_eq!(mask.0, (1 << 0) | (1 << 5) | (1 << 31));
-        assert_eq!(mask.count(), 3);
-        assert!(mask.lane(5));
-        assert!(!mask.lane(6));
-        assert_eq!(mask.first_set(), Some(0));
-        assert_eq!(mask.last_set(), Some(31));
-        assert_eq!(mask.leading_zeros(), 0);
-    }
-
-    #[test]
-    fn empty_and_full_masks() {
-        assert!(WarpMask::EMPTY.is_empty());
-        assert_eq!(WarpMask::EMPTY.first_set(), None);
-        assert_eq!(WarpMask::EMPTY.last_set(), None);
-        assert_eq!(WarpMask::FULL.count(), 32);
-        assert_eq!(WarpMask::FULL.contiguous_prefix_len(), 32);
-        assert_eq!(WarpMask::EMPTY.contiguous_prefix_len(), 0);
-    }
-
-    #[test]
-    fn contiguous_prefix_stops_at_first_gap() {
-        // lanes 0,1,2 set, lane 3 clear, lane 4 set
-        let mask = WarpMask(0b10111);
-        assert_eq!(mask.contiguous_prefix_len(), 3);
-    }
-
-    #[test]
-    fn shfl_broadcasts_one_lane() {
-        let mut vals = [0u32; WARP_SIZE];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = (i as u32) * 10;
-        }
-        assert_eq!(shfl(&vals, 7), 70);
-        assert_eq!(shfl(&vals, 0), 0);
-        assert_eq!(shfl(&vals, 31), 310);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-range lane")]
-    fn shfl_rejects_bad_lane() {
-        let vals = [0u32; WARP_SIZE];
-        let _ = shfl(&vals, 32);
-    }
-
-    #[test]
-    fn shfl_up_shifts_and_keeps_low_lanes() {
-        let mut vals = [0u32; WARP_SIZE];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = i as u32;
-        }
-        let out = shfl_up(&vals, 3);
-        assert_eq!(out[0], 0);
-        assert_eq!(out[2], 2);
-        assert_eq!(out[3], 0);
-        assert_eq!(out[31], 28);
-    }
-
-    #[test]
-    fn exclusive_prefix_sum_matches_reference() {
+    fn votes_shuffles_and_prefix_sums_are_charged() {
         let mut warp = Warp::new();
-        let mut vals = [0u64; WARP_SIZE];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = (i as u64 * 7 + 3) % 13;
-        }
-        let (prefix, total) = warp.exclusive_prefix_sum(&vals);
-        let mut expect = 0u64;
-        for i in 0..WARP_SIZE {
-            assert_eq!(prefix[i], expect, "lane {i}");
-            expect += vals[i];
-        }
-        assert_eq!(total, expect);
-        // 5 shuffle steps were charged.
-        assert_eq!(warp.counters().shuffles, 5);
-    }
-
-    #[test]
-    fn linear_prefix_sum_equals_hillis_steele_reference() {
-        for seed in 0u64..16 {
-            let mut vals = [0u64; WARP_SIZE];
-            for (i, v) in vals.iter_mut().enumerate() {
-                *v = (i as u64).wrapping_mul(seed * 2654435761 + 1) % 9973;
-            }
-            let mut warp = Warp::new();
-            let fast = warp.exclusive_prefix_sum(&vals);
-            let reference = exclusive_prefix_sum_reference(&vals);
-            assert_eq!(fast, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn ballot_mask_charges_like_ballot() {
-        let mut lanes = [false; WARP_SIZE];
-        lanes[3] = true;
-        lanes[17] = true;
-        let mut a = Warp::new();
-        let from_bools = a.ballot(&lanes);
-        let mut b = Warp::new();
-        let from_mask = b.ballot_mask(WarpMask::from_lanes(&lanes));
-        assert_eq!(from_bools, from_mask);
-        assert_eq!(a.counters().ballots, b.counters().ballots);
-        assert_eq!(a.counters().instructions, b.counters().instructions);
-    }
-
-    #[test]
-    fn branch_divergence_only_when_warp_splits() {
-        let mut warp = Warp::new();
-        warp.branch(WarpMask::FULL, WarpMask::FULL);
-        assert_eq!(warp.counters().divergent_branches, 0);
-        warp.branch(WarpMask::EMPTY, WarpMask::FULL);
-        assert_eq!(warp.counters().divergent_branches, 0);
-        warp.branch(WarpMask(0x0000_FFFF), WarpMask::FULL);
-        assert_eq!(warp.counters().divergent_branches, 1);
-        // Inactive lanes do not count: taken == active is uniform.
-        warp.branch(WarpMask(0x0000_00FF), WarpMask(0x0000_00FF));
-        assert_eq!(warp.counters().divergent_branches, 1);
+        warp.ballot();
+        warp.shfl();
+        warp.prefix_sum();
+        let c = warp.into_counters();
+        assert_eq!(c.ballots, 1);
+        // One broadcast plus the prefix sum's five shuffle steps.
+        assert_eq!(c.shuffles, 6);
+        // Ballot 1 + shuffle 1 + prefix sum 5 × (shuffle + add).
+        assert_eq!(c.instructions, 12);
     }
 
     #[test]
@@ -403,59 +110,11 @@ mod tests {
         warp.global_read(128, true);
         warp.global_write(64, false);
         warp.shared_read(2);
-        let c = warp.counters();
+        let c = warp.into_counters();
         assert_eq!(c.rounds, 2);
         assert_eq!(c.active_lane_sum, 36);
         assert_eq!(c.global_read_bytes, 128);
         assert_eq!(c.global_write_bytes, 64);
         assert_eq!(c.shared_read_bytes, 2);
-    }
-
-    proptest! {
-        /// Ballot/mask round trip: reading each lane back reproduces the
-        /// predicate array.
-        #[test]
-        fn ballot_roundtrip(bits in any::<u32>()) {
-            let mut lanes = [false; WARP_SIZE];
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                *lane = bits & (1 << i) != 0;
-            }
-            let mask = ballot(&lanes);
-            prop_assert_eq!(mask.0, bits);
-            for (i, &lane) in lanes.iter().enumerate() {
-                prop_assert_eq!(mask.lane(i), lane);
-            }
-            prop_assert_eq!(mask.count() as usize, lanes.iter().filter(|&&b| b).count());
-        }
-
-        /// The warp prefix sum equals the sequential scan for arbitrary
-        /// inputs (no overflow in the tested range).
-        #[test]
-        fn prefix_sum_matches_scan(vals in proptest::collection::vec(0u64..1_000_000, WARP_SIZE)) {
-            let mut arr = [0u64; WARP_SIZE];
-            arr.copy_from_slice(&vals);
-            let mut warp = Warp::new();
-            let (prefix, total) = warp.exclusive_prefix_sum(&arr);
-            let mut acc = 0u64;
-            for i in 0..WARP_SIZE {
-                prop_assert_eq!(prefix[i], acc);
-                acc += arr[i];
-            }
-            prop_assert_eq!(total, acc);
-        }
-
-        /// contiguous_prefix_len is the length of the maximal all-ones
-        /// prefix.
-        #[test]
-        fn prefix_len_definition(bits in any::<u32>()) {
-            let mask = WarpMask(bits);
-            let len = mask.contiguous_prefix_len() as usize;
-            for i in 0..len {
-                prop_assert!(mask.lane(i));
-            }
-            if len < WARP_SIZE {
-                prop_assert!(!mask.lane(len));
-            }
-        }
     }
 }
