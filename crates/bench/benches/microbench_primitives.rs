@@ -298,7 +298,8 @@ fn bench_wild_copy(c: &mut Criterion) {
 
 fn bench_sub_block_decode(c: &mut Criterion) {
     // The one-pass block decoder against the checked per-sub-block walk
-    // (one `DecodeTable::decode` per literal), over a realistic 1 MiB block.
+    // (one `DecodeTable::decode` per literal), over a realistic 1 MiB block,
+    // and the per-block cost of the one-pass decoder's host tables.
     let data = wikipedia_data(1 << 20);
     let cfg = MatcherConfig::gompresso();
     let coder =
@@ -339,6 +340,12 @@ fn bench_sub_block_decode(c: &mut Criterion) {
             .unwrap();
             sequences.len() + literals.len()
         });
+    });
+    // The host tables both paths above decode with, built once per block.
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("host_tables_build", |b| {
+        let mut scratch = InterleaveScratch::default();
+        b.iter(|| scratch.build_host_tables(&coder, &lit_dec, &off_dec));
     });
     group.finish();
 }

@@ -23,8 +23,9 @@
 //! each byte block in one pass from its borrowed payload straight into the
 //! block's output slice ([`ByteBlockView::decompress_into`]). Bit blocks,
 //! byte blocks under the DE check and any byte block whose fused pass
-//! fails take the sequence path: parse, entropy-decode the sequences, run
-//! them through the wide-copy executor of `gompresso-lz77` — the one
+//! fails take the sequence path: parse in place ([`BitBlockView`],
+//! [`ByteBlockView`]), entropy-decode the sequences, run them through the
+//! wide-copy executor of `gompresso-lz77` — the one
 //! structural validator of decoded sequences, whose per-sequence step the
 //! fused pass shares — and, under `validate_de`, apply
 //! [`gompresso_lz77::verify_de_invariant`]. Every reported error comes from
@@ -38,10 +39,9 @@ use crate::strategy::{ResolutionStrategy, StrategySelection};
 use crate::{GompressoError, Result};
 use gompresso_bitstream::ByteReader;
 use gompresso_format::{
-    token_code::TokenCoder, BitBlock, BlockConfig, ByteBlock, ByteBlockView, CompressedFile, EncodingMode,
-    InterleaveScratch,
+    token_code::TokenCoder, BitBlock, BitBlockView, BlockConfig, ByteBlock, ByteBlockView, CompressedFile,
+    EncodingMode, InterleaveScratch,
 };
-use gompresso_huffman::DecodeTable;
 use gompresso_lz77::{SequenceBlock, GROUP_SIZE};
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -109,7 +109,7 @@ pub fn decompress_with(
 }
 
 /// Per-worker decode scratch: the block-level sequence/literal buffers and
-/// the cached token tables.
+/// the bit-block decode tables and run buffer.
 #[derive(Default)]
 struct DecodeScratch {
     seq_block: SequenceBlock,
@@ -241,7 +241,14 @@ pub(crate) fn with_decoded_block<T>(
         let mut r = ByteReader::new(payload);
         let layout = match block.mode {
             EncodingMode::Bit => {
-                Some(decode_bit_block(&BitBlock::deserialize(&mut r)?, coder, seq_block, tokens)?)
+                let view = BitBlockView::parse(&mut r)?;
+                view.decode_into(coder, tokens, seq_block)?;
+                // The K40 model charges the paper's CWL-bit tables, 4 bytes
+                // per entry, whatever tables the host decoded with.
+                Some(BitLayout {
+                    table_bytes: (4u32 << view.lit_len_code.max_len()) + (4u32 << view.offset_code.max_len()),
+                    sequences_per_sub_block: view.sequences_per_sub_block as usize,
+                })
             }
             EncodingMode::Byte => {
                 ByteBlockView::parse(&mut r)?.decode_into(seq_block)?;
@@ -404,38 +411,6 @@ fn validate_declared_sizes(file: &CompressedFile) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Huffman-decodes one bit block into `seq_block`, all its sub-blocks in
-/// one call to [`BitBlock::decode_sub_blocks`], and returns its layout.
-fn decode_bit_block(
-    bit: &BitBlock,
-    coder: &TokenCoder,
-    seq_block: &mut SequenceBlock,
-    tokens: &mut InterleaveScratch,
-) -> Result<BitLayout> {
-    let lit_len_dec = DecodeTable::new(&bit.lit_len_code)?;
-    let offset_dec = DecodeTable::new(&bit.offset_code)?;
-    let sequences = &mut seq_block.sequences;
-    let literals = &mut seq_block.literals;
-    sequences.clear();
-    literals.clear();
-    sequences.reserve((bit.n_sequences as usize).min(bit.bitstream.len().saturating_mul(8)));
-    literals.reserve((bit.uncompressed_len as usize).min(bit.bitstream.len().saturating_mul(8)));
-    seq_block.uncompressed_len = bit.uncompressed_len as usize;
-    bit.decode_sub_blocks(
-        0..bit.sub_block_count(),
-        coder,
-        &lit_len_dec,
-        &offset_dec,
-        tokens,
-        sequences,
-        literals,
-    )?;
-    Ok(BitLayout {
-        table_bytes: lit_len_dec.simulated_shared_bytes() + offset_dec.simulated_shared_bytes(),
-        sequences_per_sub_block: bit.sequences_per_sub_block as usize,
-    })
 }
 
 #[cfg(test)]

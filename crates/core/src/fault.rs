@@ -203,15 +203,15 @@ impl<W: Write> Write for FaultWriter<W> {
         if self.plan.max_write > 0 {
             limit = limit.min(self.plan.max_write);
         }
-        let buf = &buf[..limit];
         if self.error_armed {
             let at = self.plan.error_at.unwrap_or(0);
             if self.pos >= at {
                 self.error_armed = false;
                 return Err(io::Error::other("injected fault"));
             }
+            limit = limit.min((at - self.pos) as usize);
         }
-        let mut chunk = buf.to_vec();
+        let mut chunk = buf[..limit].to_vec();
         for (i, bit) in self.plan.flips_in(self.pos, chunk.len()) {
             chunk[i] ^= 1 << bit;
         }
@@ -316,6 +316,27 @@ mod tests {
         let mut rest = Vec::new();
         r.read_to_end(&mut rest).unwrap();
         assert_eq!(rest.len(), 24, "after firing once the stream recovers");
+    }
+
+    #[test]
+    fn injected_write_error_fires_exactly_once_at_offset() {
+        let data: Vec<u8> = (0..32u8).collect();
+        let mut sink = Vec::new();
+        let mut w = FaultWriter::new(&mut sink, FaultPlan::clean().error(8));
+        let err = w.write_all(&data).unwrap_err();
+        assert_eq!(err.to_string(), "injected fault");
+        // The write that spans the offset stops there; after firing once
+        // the sink recovers.
+        w.write_all(&data[8..]).unwrap();
+        drop(w);
+        assert_eq!(sink, data);
+
+        let mut sink = Vec::new();
+        let mut w = FaultWriter::new(&mut sink, FaultPlan::clean().error(8));
+        assert_eq!(w.write(&data).unwrap(), 8, "write must stop at the armed error offset");
+        assert_eq!(w.write(&data[8..]).unwrap_err().to_string(), "injected fault");
+        drop(w);
+        assert_eq!(sink, data[..8]);
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! GPU thread can compute its sub-block's absolute bit offset with a prefix
 //! sum and start decoding immediately — the single-pass parallel Huffman
 //! decoding scheme of Section III-B-1.
+//!
+//! The host parses a payload in place ([`BitBlockView`]) and decodes its
+//! sub-blocks one after another through multi-symbol tables built per
+//! block (`host_decode`); [`BitBlock`] is the owned form the encoder
+//! writes and tests build by hand.
 
+use crate::host_decode::{HostDecoder, HostTables, RUN_SLACK};
 use crate::token_code::{TokenCoder, TokenEncodeTables, TokenTables, END_OF_SEQUENCES, FIRST_LENGTH_SYMBOL};
 use crate::{FormatError, Result};
 use gompresso_bitstream::{read_varint, write_varint, BitReader, BitWriter, ByteReader, ByteWriter};
-use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram, HuffmanError};
+use gompresso_huffman::{CanonicalCode, DecodeTable, EncodeTable, Histogram};
 use gompresso_lz77::{Sequence, SequenceBlock};
 use std::ops::Range;
 
@@ -33,6 +39,30 @@ pub struct BitBlock {
     pub sub_block_bits: Vec<u32>,
     /// The concatenated Huffman bitstream of all sub-blocks.
     pub bitstream: Vec<u8>,
+}
+
+/// A bit block parsed in place: its two codes are built, its sub-block
+/// sizes and bitstream are borrowed from the payload rather than copied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitBlockView<'a> {
+    /// Canonical code for literals, the end-of-sequences marker and match
+    /// lengths.
+    pub lit_len_code: CanonicalCode,
+    /// Canonical code for match offsets.
+    pub offset_code: CanonicalCode,
+    /// Number of sequences in the block.
+    pub n_sequences: u32,
+    /// Uncompressed size of the block in bytes.
+    pub uncompressed_len: u32,
+    /// Number of sequences per sub-block.
+    pub sequences_per_sub_block: u32,
+    /// Number of sub-blocks.
+    sub_block_count: usize,
+    /// The sub-block bit sizes as serialized: `sub_block_count` varints,
+    /// each checked by [`Self::parse`].
+    sub_block_sizes: &'a [u8],
+    /// The concatenated Huffman bitstream of all sub-blocks.
+    pub bitstream: &'a [u8],
 }
 
 /// Reusable per-worker state for [`BitBlock::encode_with_scratch`]: the two
@@ -387,12 +417,7 @@ impl BitBlock {
         if index >= self.sub_block_bits.len() {
             return Err(FormatError::SubBlockOutOfRange { index, available: self.sub_block_bits.len() });
         }
-        // Saturating: a corrupt block can declare fewer sequences than its
-        // sub-block table implies, and that must surface as an empty
-        // sub-block (then a decode error), not an arithmetic panic.
-        let full = u64::from(self.sequences_per_sub_block);
-        let start = index as u64 * full;
-        Ok(u64::from(self.n_sequences).saturating_sub(start).min(full) as u32)
+        Ok(sequences_in(index, self.n_sequences, self.sequences_per_sub_block))
     }
 
     /// Decodes one sub-block, *appending* its sequences and literal bytes to
@@ -428,10 +453,12 @@ impl BitBlock {
     /// Every sub-block owns an independent bitstream, which on the GPU one
     /// thread decodes (paper, Section III-B-1); the host walks them one
     /// after another and finds each after the first by adding the previous
-    /// one's recorded size to its start. The result equals
-    /// [`Self::decode_sub_block_into`] called on each sub-block in turn,
-    /// errors included.
-    #[allow(clippy::too_many_arguments)] // decode tables, token-table cache and two output sinks
+    /// one's recorded size to its start, through the host tables of the
+    /// block's codes (kept in `scratch` and rebuilt only when the codes
+    /// change, so a block decoded in several ranges builds them once). The
+    /// result equals [`Self::decode_sub_block_into`] called on each
+    /// sub-block in turn, errors included.
+    #[allow(clippy::too_many_arguments)] // decode tables, scratch and two output sinks
     pub fn decode_sub_blocks(
         &self,
         sub_blocks: Range<usize>,
@@ -448,24 +475,19 @@ impl BitBlock {
         } else if sub_blocks.end > available {
             return Err(FormatError::SubBlockOutOfRange { index: sub_blocks.end - 1, available });
         }
-        let tables = scratch.tokens(coder);
-        let mut start_bit = self.sub_block_bit_offset(sub_blocks.start)?;
-        for sub in sub_blocks {
-            let n_seq = self.sub_block_sequences(sub)?;
-            decode_sub_block(
-                &self.bitstream,
-                start_bit,
-                n_seq,
-                coder,
-                tables,
-                lit_len_dec,
-                offset_dec,
-                sequences,
-                literals,
-            )?;
-            start_bit += u64::from(self.sub_block_bits[sub]);
-        }
-        Ok(())
+        let start_bit = self.sub_block_bit_offset(sub_blocks.start)?;
+        let sizes = &self.sub_block_bits[sub_blocks.clone()];
+        let bits: u64 = sizes.iter().map(|&b| u64::from(b)).sum();
+        let InterleaveScratch { tokens, host, run, .. } = scratch;
+        let tables = token_tables(tokens, coder);
+        host.load(coder, tables, (&self.lit_len_code, &self.offset_code), lit_len_dec, offset_dec);
+        let decoder = HostDecoder { coder, tables, host, lit_len_dec, offset_dec };
+        let sub_blocks = sizes
+            .iter()
+            .zip(sub_blocks)
+            .map(|(&bits, i)| (bits, sequences_in(i, self.n_sequences, self.sequences_per_sub_block)));
+        let run = run_buffer(run, self.uncompressed_len, bits);
+        decoder.decode(&self.bitstream, start_bit, sub_blocks, run, sequences, literals)
     }
 
     /// Forwards to [`Self::decode_sub_blocks`]; `S`, `_first_bit_offset`
@@ -548,8 +570,38 @@ impl BitBlock {
         w.write_bytes(&self.bitstream);
     }
 
-    /// Deserializes a block payload written by [`Self::serialize`].
+    /// Deserializes a block payload written by [`Self::serialize`]: a
+    /// [`BitBlockView::parse`] that copies the sub-block sizes and the
+    /// bitstream out of the payload.
     pub fn deserialize(r: &mut ByteReader<'_>) -> Result<Self> {
+        let view = BitBlockView::parse(r)?;
+        let sub_block_bits = view.sub_block_bits().collect();
+        Ok(BitBlock {
+            lit_len_code: view.lit_len_code,
+            offset_code: view.offset_code,
+            n_sequences: view.n_sequences,
+            uncompressed_len: view.uncompressed_len,
+            sequences_per_sub_block: view.sequences_per_sub_block,
+            sub_block_bits,
+            bitstream: view.bitstream.to_vec(),
+        })
+    }
+
+    /// Compressed size in bytes of the serialized payload (trees + sizes +
+    /// bitstream).
+    pub fn compressed_len(&self) -> usize {
+        let mut w = ByteWriter::new();
+        self.serialize(&mut w);
+        w.len()
+    }
+}
+
+impl<'a> BitBlockView<'a> {
+    /// Parses a block payload written by [`BitBlock::serialize`] without
+    /// copying its sub-block sizes or bitstream: the codes are built and
+    /// every counter and size is range-checked, and the sizes must fit
+    /// inside the bitstream.
+    pub fn parse(r: &mut ByteReader<'a>) -> Result<Self> {
         let lit_len_code = CanonicalCode::deserialize(r)?;
         let offset_code = CanonicalCode::deserialize(r)?;
         let n_sequences = read_varint(r)?;
@@ -562,43 +614,109 @@ impl BitBlock {
         {
             return Err(FormatError::InvalidToken { reason: "bit block counters out of range" });
         }
-        let n_sub_blocks = read_varint(r)? as usize;
-        if n_sub_blocks > (1 << 28) {
+        let sub_block_count = read_varint(r)? as usize;
+        if sub_block_count > (1 << 28) {
             return Err(FormatError::InvalidToken { reason: "sub-block count out of range" });
         }
-        let mut sub_block_bits = Vec::with_capacity(n_sub_blocks);
-        for _ in 0..n_sub_blocks {
+        let sizes = r.rest();
+        let mut total_bits = 0u64;
+        for _ in 0..sub_block_count {
             let bits = read_varint(r)?;
             if bits > u64::from(u32::MAX) {
                 return Err(FormatError::InvalidToken { reason: "sub-block bit size out of range" });
             }
-            sub_block_bits.push(bits as u32);
+            total_bits += bits;
         }
+        let sub_block_sizes = &sizes[..sizes.len() - r.rest().len()];
         let stream_len = read_varint(r)? as usize;
-        let bitstream = r.read_bytes(stream_len)?.to_vec();
+        let bitstream = r.read_bytes(stream_len)?;
         // The declared sub-block bit sizes must fit inside the bitstream.
-        let total_bits: u64 = sub_block_bits.iter().map(|&b| u64::from(b)).sum();
         if total_bits > bitstream.len() as u64 * 8 {
             return Err(FormatError::InvalidToken { reason: "sub-block sizes exceed bitstream length" });
         }
-        Ok(BitBlock {
+        Ok(BitBlockView {
             lit_len_code,
             offset_code,
             n_sequences: n_sequences as u32,
             uncompressed_len: uncompressed_len as u32,
             sequences_per_sub_block: sequences_per_sub_block as u32,
-            sub_block_bits,
+            sub_block_count,
+            sub_block_sizes,
             bitstream,
         })
     }
 
-    /// Compressed size in bytes of the serialized payload (trees + sizes +
-    /// bitstream).
-    pub fn compressed_len(&self) -> usize {
-        let mut w = ByteWriter::new();
-        self.serialize(&mut w);
-        w.len()
+    /// Number of sub-blocks in the block.
+    pub fn sub_block_count(&self) -> usize {
+        self.sub_block_count
     }
+
+    /// The size in bits of each sub-block, in order.
+    pub fn sub_block_bits(&self) -> impl Iterator<Item = u32> + 'a {
+        // `parse` read every varint, so none fails here.
+        let mut r = ByteReader::new(self.sub_block_sizes);
+        (0..self.sub_block_count).map_while(move |_| read_varint(&mut r).ok().map(|bits| bits as u32))
+    }
+
+    /// Entropy-decodes the whole block into `out`, clearing and reusing its
+    /// buffers, with the block's decode tables rebuilt in `scratch`'s
+    /// storage. `out` then holds what [`BitBlock::decode_all`] returns for
+    /// the same payload, and an error is that call's error.
+    pub fn decode_into(
+        &self,
+        coder: &TokenCoder,
+        scratch: &mut InterleaveScratch,
+        out: &mut SequenceBlock,
+    ) -> Result<()> {
+        let result = self.decode_with(coder, scratch, out);
+        // A hand-built code may ask for 2^24-entry tables; a worker keeps
+        // no table wider than the 16 bits the compressor writes, whether
+        // the block decoded or not.
+        for dec in [&mut scratch.lit_len_dec, &mut scratch.offset_dec] {
+            if dec.index_bits() > 16 {
+                *dec = DecodeTable::default();
+            }
+        }
+        result
+    }
+
+    fn decode_with(
+        &self,
+        coder: &TokenCoder,
+        scratch: &mut InterleaveScratch,
+        out: &mut SequenceBlock,
+    ) -> Result<()> {
+        let InterleaveScratch { tokens, host, lit_len_dec, offset_dec, run } = scratch;
+        lit_len_dec.rebuild(&self.lit_len_code)?;
+        offset_dec.rebuild(&self.offset_code)?;
+        let tables = token_tables(tokens, coder);
+        host.load(coder, tables, (&self.lit_len_code, &self.offset_code), lit_len_dec, offset_dec);
+        // Every sequence and every literal takes at least one coded bit,
+        // so the bitstream caps what corrupt counters can reserve.
+        let cap_bits = self.bitstream.len().saturating_mul(8);
+        out.sequences.clear();
+        out.literals.clear();
+        out.sequences.reserve((self.n_sequences as usize).min(cap_bits));
+        out.literals.reserve((self.uncompressed_len as usize).min(cap_bits));
+        out.uncompressed_len = self.uncompressed_len as usize;
+        let decoder = HostDecoder { coder, tables, host, lit_len_dec, offset_dec };
+        let sub_blocks = self
+            .sub_block_bits()
+            .enumerate()
+            .map(|(i, bits)| (bits, sequences_in(i, self.n_sequences, self.sequences_per_sub_block)));
+        let run = run_buffer(run, self.uncompressed_len, cap_bits as u64);
+        decoder.decode(self.bitstream, 0, sub_blocks, run, &mut out.sequences, &mut out.literals)
+    }
+}
+
+/// Sequences in sub-block `index` of a block of `n_sequences` with `per`
+/// per sub-block (the final sub-block may be short). Saturating: a corrupt
+/// block can declare fewer sequences than its sub-block table implies, and
+/// that must surface as an empty sub-block (then a decode error), not an
+/// arithmetic panic.
+fn sequences_in(index: usize, n_sequences: u32, per: u32) -> u32 {
+    let full = u64::from(per);
+    u64::from(n_sequences).saturating_sub(index as u64 * full).min(full) as u32
 }
 
 /// Per-sub-block tallies of a decoded block: the quantities the simulated
@@ -634,149 +752,64 @@ impl SubBlockStats {
     }
 }
 
-/// Reusable per-worker state for [`BitBlock::decode_sub_blocks`]: the flat
-/// token tables, cached per coder so steady-state decoding rebuilds them
-/// only when the file's coding parameters change.
+/// Reusable per-worker state for bit-block decoding: the flat token tables
+/// (cached per coder), the host tables of the last codes decoded, the
+/// CWL-bit decode tables of the last [`BitBlockView`] decoded and the
+/// literal run buffer. Each block rebuilds its tables in this storage, so
+/// steady-state decoding allocates no table.
 #[derive(Debug, Clone, Default)]
 pub struct InterleaveScratch {
     tokens: Option<(TokenCoder, TokenTables)>,
+    host: HostTables,
+    lit_len_dec: DecodeTable,
+    offset_dec: DecodeTable,
+    run: Vec<u8>,
 }
 
 impl InterleaveScratch {
-    /// The token tables for `coder`, rebuilt if the cached ones belong to
-    /// other parameters (or nothing is cached yet).
-    fn tokens(&mut self, coder: &TokenCoder) -> &TokenTables {
-        if self.tokens.as_ref().is_none_or(|(cached, _)| cached != coder) {
-            self.tokens = Some((*coder, TokenTables::new(coder)));
-        }
-        &self.tokens.as_ref().expect("populated above").1
+    /// Builds the host tables of the block whose CWL-bit tables are
+    /// `lit_len_dec` and `offset_dec`, whether or not they are loaded
+    /// already: the per-block set-up cost `micro_interleave/
+    /// host_tables_build` times.
+    #[doc(hidden)]
+    pub fn build_host_tables(
+        &mut self,
+        coder: &TokenCoder,
+        lit_len_dec: &DecodeTable,
+        offset_dec: &DecodeTable,
+    ) {
+        let tables = token_tables(&mut self.tokens, coder);
+        self.host.build(tables, lit_len_dec, offset_dec);
     }
 }
 
-/// Tops the accumulator up with one unaligned little-endian 8-byte load at
-/// byte `pos`, or returns `false` when fewer than 8 bytes remain there.
-///
-/// Afterwards `nbits` is 56..=63 and `pos` is the first byte not yet
-/// counted in it. The loaded bits above `nbits` are the true stream bits
-/// that follow, so the next load ORs the same values over them.
-#[inline(always)]
-fn refill(data: &[u8], pos: &mut usize, acc: &mut u64, nbits: &mut u32) -> bool {
-    let Some(word) = data.get(*pos..*pos + 8) else {
-        return false;
-    };
-    *acc |= u64::from_le_bytes(word.try_into().expect("8-byte window")) << *nbits;
-    *pos += ((63 - *nbits) >> 3) as usize;
-    *nbits |= 56;
-    true
+/// The token tables for `coder`, rebuilt if the cached ones belong to other
+/// parameters (or nothing is cached yet).
+fn token_tables<'t>(cache: &'t mut Option<(TokenCoder, TokenTables)>, coder: &TokenCoder) -> &'t TokenTables {
+    if cache.as_ref().is_none_or(|(cached, _)| cached != coder) {
+        *cache = Some((*coder, TokenTables::new(coder)));
+    }
+    &cache.as_ref().expect("populated above").1
 }
 
-/// One-pass decode of the `n_seq` sequences of the sub-block starting at
-/// bit `start_bit` of `data`.
-///
-/// The accumulator, byte cursor and bit count stay in locals, and one
-/// [`refill`] precedes every codeword. When fewer than 8 bytes remain,
-/// the current sequence's literals are dropped and the checked walker
-/// finishes the sub-block from that sequence's first bit, so EOF,
-/// truncation and invalid-codeword errors are the checked walker's own.
-#[allow(clippy::too_many_arguments)] // the hot loop keeps every input a plain argument
-fn decode_sub_block(
-    data: &[u8],
-    start_bit: u64,
-    n_seq: u32,
-    coder: &TokenCoder,
-    tables: &TokenTables,
-    lit_len_dec: &DecodeTable,
-    offset_dec: &DecodeTable,
-    sequences: &mut Vec<Sequence>,
-    literals: &mut Vec<u8>,
-) -> Result<()> {
-    let lit_mask = (1u64 << lit_len_dec.index_bits()) - 1;
-    let off_mask = (1u64 << offset_dec.index_bits()) - 1;
-    let mut pos = (start_bit / 8) as usize;
-    let (mut acc, mut nbits) = (0u64, 0u32);
-    let mut decoded = 0u32;
-    // Where the checked walker resumes: the current sequence's first bit
-    // and the literal count before it.
-    let mut resume = (start_bit, literals.len());
-
-    'fast: {
-        if !refill(data, &mut pos, &mut acc, &mut nbits) {
-            break 'fast;
-        }
-        let skip = (start_bit % 8) as u32;
-        acc >>= skip;
-        nbits -= skip;
-        while decoded < n_seq {
-            resume = (pos as u64 * 8 - u64::from(nbits), literals.len());
-            let sym = loop {
-                if !refill(data, &mut pos, &mut acc, &mut nbits) {
-                    break 'fast;
-                }
-                let window = (acc & lit_mask) as u32;
-                let entry = lit_len_dec.lookup_packed(window);
-                let len = entry & 0xFF;
-                if len == 0 {
-                    return Err(HuffmanError::InvalidCodeword { bits: window }.into());
-                }
-                acc >>= len;
-                nbits -= len;
-                let sym = (entry >> 8) as u16;
-                if sym >= END_OF_SEQUENCES {
-                    break sym;
-                }
-                literals.push(sym as u8);
-            };
-            let literal_len = (literals.len() - resume.1) as u32;
-            let (match_offset, match_len) = if sym == END_OF_SEQUENCES {
-                (0, 0)
-            } else {
-                let (len_base, len_bits) = tables.length_entry(sym)?;
-                if !refill(data, &mut pos, &mut acc, &mut nbits) {
-                    break 'fast;
-                }
-                // Bit budget: a refill leaves at least 56 bits, and the
-                // length extras (≤ 30 bits: `max_match_len` is any u32)
-                // plus the offset codeword (≤ 24 bits, the `DecodeTable`
-                // limit) need at most 54. Only the offset extras (≤ 28
-                // bits: window ≤ 2^30) may need a second refill.
-                debug_assert!(u32::from(len_bits) + u32::from(offset_dec.index_bits()) <= nbits);
-                let len_extra = acc & ((1u64 << len_bits) - 1);
-                acc >>= len_bits;
-                nbits -= u32::from(len_bits);
-                let match_len = tables.check_length(u64::from(len_base) + len_extra)?;
-                let window = (acc & off_mask) as u32;
-                let entry = offset_dec.lookup_packed(window);
-                let len = entry & 0xFF;
-                if len == 0 {
-                    return Err(HuffmanError::InvalidCodeword { bits: window }.into());
-                }
-                acc >>= len;
-                nbits -= len;
-                let (off_base, off_bits) = tables.offset_entry((entry >> 8) as u16)?;
-                if u32::from(off_bits) > nbits && !refill(data, &mut pos, &mut acc, &mut nbits) {
-                    break 'fast;
-                }
-                let off_extra = (acc & ((1u64 << off_bits) - 1)) as u32;
-                acc >>= off_bits;
-                nbits -= u32::from(off_bits);
-                (tables.check_offset(off_base + off_extra)?, match_len)
-            };
-            sequences.push(Sequence { literal_len, match_offset, match_len });
-            decoded += 1;
-        }
-        return Ok(());
+/// The run buffer, with room for as many literals as a block of
+/// `uncompressed_len` bytes holds in `bits` coded bits, plus the slack of
+/// the last 4-byte store. It grows by exact reservations and never
+/// shrinks: a doubling reservation would leave it twice the block size.
+fn run_buffer(run: &mut Vec<u8>, uncompressed_len: u32, bits: u64) -> &mut [u8] {
+    let len = u64::from(uncompressed_len).min(bits) as usize + RUN_SLACK;
+    if run.len() < len {
+        run.reserve_exact(len - run.len());
+        run.resize(len, 0);
     }
-
-    literals.truncate(resume.1);
-    let mut r = BitReader::at_bit_offset(data, resume.0)?;
-    decode_sequences_checked(&mut r, n_seq - decoded, coder, lit_len_dec, offset_dec, sequences, literals)
+    &mut run[..len]
 }
 
 /// The checked per-sequence walk: decodes `n_seq` sequences from `r`,
 /// reporting EOF and truncation exactly. [`BitBlock::decode_sub_block_into`]
-/// is this walk over one sub-block; [`decode_sub_block`] finishes each
+/// is this walk over one sub-block; the host decoder finishes each
 /// sub-block's tail with it.
-fn decode_sequences_checked(
+pub(crate) fn decode_sequences_checked(
     r: &mut BitReader<'_>,
     n_seq: u32,
     coder: &TokenCoder,
@@ -886,6 +919,105 @@ mod tests {
         assert_eq!(back, bit);
         assert!(r.is_empty());
         assert_eq!(bit.compressed_len(), bytes.len());
+    }
+
+    #[test]
+    fn view_decodes_what_the_owned_block_decodes() {
+        let input = b"a view borrows the payload, a block copies it ".repeat(90);
+        let (block, bit) = encode_input(&input, 8);
+        let mut w = ByteWriter::new();
+        bit.serialize(&mut w);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        let view = BitBlockView::parse(&mut r).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(view.sub_block_count(), bit.sub_block_count());
+        assert_eq!(view.sub_block_bits().collect::<Vec<_>>(), bit.sub_block_bits);
+        assert_eq!(view.bitstream, &bit.bitstream[..]);
+        let mut out = SequenceBlock::new();
+        view.decode_into(&coder(), &mut InterleaveScratch::default(), &mut out).unwrap();
+        assert_eq!(out, block);
+        assert_eq!(out, bit.decode_all(&coder()).unwrap());
+    }
+
+    /// Text-like bytes: words from a small vocabulary, chosen by an LCG.
+    fn words(len: usize, seed: u64) -> Vec<u8> {
+        const VOCABULARY: [&[u8]; 8] =
+            [b"the ", b"sub-block ", b"of ", b"huffman ", b"decode ", b"table ", b"lookup ", b"literal "];
+        let (mut state, mut out) = (seed, Vec::with_capacity(len + 16));
+        while out.len() < len {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            out.extend_from_slice(VOCABULARY[(state >> 61) as usize]);
+            out.push((state >> 40) as u8 % 26 + b'a');
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn run_buffer_stays_within_block_size_plus_slack() {
+        // One worker's scratch across blocks of growing and shrinking size:
+        // the run buffer grows by exact reservations, so it never holds
+        // more than the largest block's literals plus the store slack (a
+        // doubling reservation would take it from 40,003 to 80,006 bytes at
+        // the second block).
+        let mut scratch = InterleaveScratch::default();
+        let mut out = SequenceBlock::new();
+        let mut largest = 0;
+        for (seed, len) in [40_000usize, 65_536, 1_000, 65_536, 30_000].into_iter().enumerate() {
+            let (block, bit) = encode_input(&words(len, seed as u64), 16);
+            let mut w = ByteWriter::new();
+            bit.serialize(&mut w);
+            let bytes = w.finish();
+            BitBlockView::parse(&mut ByteReader::new(&bytes))
+                .unwrap()
+                .decode_into(&coder(), &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, block);
+            largest = largest.max(len);
+            assert!(
+                scratch.run.len() <= largest + RUN_SLACK,
+                "block {seed}: run length {}",
+                scratch.run.len()
+            );
+            assert!(
+                scratch.run.capacity() <= largest + RUN_SLACK,
+                "block {seed}: run capacity {} for blocks of at most {largest} bytes",
+                scratch.run.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_decode_tables_are_not_kept() {
+        let input = b"wide tables are built for one block, then let go ".repeat(40);
+        let block = Matcher::new(MatcherConfig::default()).compress(&input);
+        let serialize = |bit: &BitBlock| {
+            let mut w = ByteWriter::new();
+            bit.serialize(&mut w);
+            w.finish()
+        };
+        let decode = |bytes: &[u8], scratch: &mut InterleaveScratch| {
+            let mut out = SequenceBlock::new();
+            BitBlockView::parse(&mut ByteReader::new(bytes))?
+                .decode_into(&coder(), scratch, &mut out)
+                .map(|()| out)
+        };
+        let mut scratch = InterleaveScratch::default();
+        let (_, narrow) = encode_input(&input, 16);
+        assert_eq!(decode(&serialize(&narrow), &mut scratch).unwrap(), block);
+        assert_eq!((scratch.lit_len_dec.index_bits(), scratch.offset_dec.index_bits()), (10, 10));
+
+        // 24-bit tables (64 MiB each) are let go after the block, and so
+        // is the literal/length table when the offset table then fails.
+        let released = DecodeTable::default().len();
+        let wide = BitBlock::encode(&block, &coder(), 16, 24).unwrap();
+        assert_eq!(decode(&serialize(&wide), &mut scratch).unwrap(), block);
+        assert_eq!((scratch.lit_len_dec.len(), scratch.offset_dec.len()), (released, released));
+        let mut failing = wide.clone();
+        failing.offset_code = CanonicalCode::from_lengths(&failing.offset_code.lengths(), 25).unwrap();
+        assert!(decode(&serialize(&failing), &mut scratch).is_err());
+        assert_eq!((scratch.lit_len_dec.len(), scratch.offset_dec.len()), (released, released));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! * [`token_code`] — the symbol mapping used by the bit-level encoding
 //!   (literal/length alphabet, offset alphabet, extra bits),
 //! * [`bit_block`] — Huffman-coded block payloads with sub-block seeking,
+//!   parsed in place and decoded on the host through multi-symbol tables,
 //! * [`byte_block`] — the byte-level (Gompresso/Byte) block payload,
 //! * [`file`](mod@file) — the top-level container tying header and payloads together,
 //! * [`stream_frame`] — the incremental container framing used by the
@@ -40,10 +41,11 @@ pub mod error;
 pub mod file;
 pub mod hash;
 pub mod header;
+mod host_decode;
 pub mod stream_frame;
 pub mod token_code;
 
-pub use bit_block::{BitBlock, EncodeScratch, InterleaveScratch, SubBlockStats};
+pub use bit_block::{BitBlock, BitBlockView, EncodeScratch, InterleaveScratch, SubBlockStats};
 pub use block_config::{BlockConfig, ResolutionStrategy, BLOCK_CONFIG_LEN};
 pub use block_index::{parse_stream_frame_head, stream_frame_layout, BlockEntry, BlockIndex, FrameLayout};
 pub use byte_block::{ByteBlock, ByteBlockView};

@@ -6,8 +6,9 @@
 //! decodes a block in one call or in groups of 32 sub-blocks. On damaged
 //! blocks — bitstreams cut short, shorter than one 8-byte refill, or
 //! corrupted in the middle — both must return the same `Result`, errors
-//! included, and so must a hand-built block with 24-bit codes and the
-//! widest length and offset extras a header allows.
+//! included, at codeword limits of 8 to 16 bits as well as the default 10,
+//! and so must a hand-built block with 24-bit codes and the widest length
+//! and offset extras a header allows.
 
 use gompresso_bitstream::BitWriter;
 use gompresso_format::token_code::{TokenCoder, END_OF_SEQUENCES};
@@ -268,6 +269,67 @@ proptest! {
             *b ^= mask;
         }
         let _ = same_result(&bit, &coder(), &Tables::new(&bit), "corrupted middle");
+    }
+}
+
+/// Skewed bytes from random words, so a 16-bit limit gives codes past the
+/// host tables' 11-bit index in both trees. The first half is literal-heavy
+/// text: eight byte values per leading zero of the word, each group of
+/// eight half as common as the one before. The second half is match-heavy:
+/// 22 byte values drawn with Fibonacci weights, the steepest a Huffman code
+/// follows, so its offsets and lengths are skewed too.
+fn skewed(words: Vec<u32>) -> Vec<u8> {
+    let mut weights = vec![1u32, 1];
+    while weights.len() < 22 {
+        weights.push(weights[weights.len() - 1] + weights[weights.len() - 2]);
+    }
+    let total: u32 = weights.iter().sum();
+    let half = words.len() / 2;
+    let text = words[..half].iter().map(|&w| (w.leading_zeros() * 8 + (w & 7)).min(255) as u8);
+    let repeats = words[half..].iter().map(|&w| {
+        let mut x = w % total;
+        let k = weights
+            .iter()
+            .position(|&weight| {
+                x < weight || {
+                    x -= weight;
+                    false
+                }
+            })
+            .expect("x < total");
+        (k * 37 % 256) as u8
+    });
+    text.chain(repeats).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Codeword length limits of 8 to 16 bits on skewed inputs, so codes
+    /// longer than the host tables' 11-bit index reach their slow entries:
+    /// whole, cut and corrupted blocks give the checked walk's result.
+    #[test]
+    fn one_pass_matches_checked_walk_across_codeword_limits(
+        cwl in 8u8..=16,
+        input in proptest::collection::vec(any::<u32>(), 200..16_000).prop_map(skewed),
+        per_sub_block in prop_oneof![Just(1u32), Just(5), Just(16)],
+        corrupt in any::<bool>(),
+        start_permille in 0u32..1000,
+        mask in 1u8..=255,
+    ) {
+        let block = Matcher::new(MatcherConfig::default()).compress(&input);
+        let mut bit = BitBlock::encode(&block, &coder(), per_sub_block, cwl).unwrap();
+        let tables = Tables::new(&bit);
+        prop_assert!(same_result(&bit, &coder(), &tables, "intact").is_ok());
+        check_cuts(&bit, &coder(), &tables);
+        if corrupt {
+            let len = bit.bitstream.len();
+            let start = len * start_permille as usize / 1000;
+            for b in &mut bit.bitstream[start..(start + 4).min(len)] {
+                *b ^= mask;
+            }
+            let _ = same_result(&bit, &coder(), &tables, "corrupted middle");
+        }
     }
 }
 

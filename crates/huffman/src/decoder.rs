@@ -11,29 +11,51 @@ use gompresso_bitstream::{BitReader, StreamError};
 
 /// A flat decode look-up table for one canonical code.
 ///
-/// Entries are packed as `symbol << 8 | code_len` in a boxed `u32` slice, so
+/// Entries are packed as `symbol << 8 | code_len` in a `u32` vector, so
 /// each LUT slot occupies exactly the 4 bytes the GPU occupancy model charges
 /// for it ([`Self::simulated_shared_bytes`]) — half the cache footprint of
 /// the former `(u16, u8)` tuple layout, which padded to 8 bytes per entry.
+/// [`Self::rebuild`] refills a table for another code in its own storage.
 #[derive(Debug, Clone)]
 pub struct DecodeTable {
     /// `entries[bits]` = `symbol << 8 | len`; length 0 marks an invalid
     /// codeword prefix (possible when the code does not exhaust the Kraft
     /// budget).
-    entries: Box<[u32]>,
+    entries: Vec<u32>,
     /// Index width in bits (the code's maximum codeword length).
     index_bits: u8,
+}
+
+impl Default for DecodeTable {
+    /// A table for no code: a one-bit index whose two windows are both
+    /// invalid prefixes, so decoding through it fails with
+    /// [`HuffmanError::InvalidCodeword`] (or an EOF) rather than panicking.
+    fn default() -> Self {
+        Self { entries: vec![0; 2], index_bits: 1 }
+    }
 }
 
 impl DecodeTable {
     /// Builds the LUT for a canonical code.
     pub fn new(code: &CanonicalCode) -> Result<Self> {
+        let mut table = Self::default();
+        table.rebuild(code)?;
+        Ok(table)
+    }
+
+    /// Rebuilds the table for `code` in place, reusing its storage; the
+    /// excess of a larger previous table is released. On error the table is
+    /// left unchanged.
+    pub fn rebuild(&mut self, code: &CanonicalCode) -> Result<()> {
         let index_bits = code.max_len();
         if index_bits == 0 || index_bits > 24 {
             return Err(HuffmanError::InvalidMaxLength(index_bits));
         }
         let size = 1usize << index_bits;
-        let mut entries = vec![0u32; size].into_boxed_slice();
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.resize(size, 0);
+        entries.shrink_to(size);
         for (sym, entry) in code.entries().iter().enumerate() {
             if entry.len == 0 {
                 continue;
@@ -50,7 +72,8 @@ impl DecodeTable {
                 idx += step;
             }
         }
-        Ok(Self { entries, index_bits })
+        self.index_bits = index_bits;
+        Ok(())
     }
 
     /// Number of bits used to index the table (CWL).
@@ -432,6 +455,28 @@ mod tests {
             expect.push(sym as u8);
         }
         assert_eq!(sink, expect);
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_table() {
+        let wide = code_for(&[40, 20, 10, 5, 2, 1], 12);
+        let narrow = code_for(&[3, 3, 2, 1], 8);
+        let mut table = DecodeTable::default();
+        assert!(matches!(
+            table.decode(&mut BitReader::new(&[0xFF])),
+            Err(HuffmanError::InvalidCodeword { .. })
+        ));
+        for code in [&wide, &narrow, &wide] {
+            table.rebuild(code).unwrap();
+            let fresh = DecodeTable::new(code).unwrap();
+            assert_eq!(table.index_bits(), fresh.index_bits());
+            assert_eq!(table.len(), fresh.len());
+            assert!((0..fresh.len() as u32).all(|w| table.lookup_packed(w) == fresh.lookup_packed(w)));
+        }
+        // A failed rebuild leaves the previous table in place.
+        let too_wide = CanonicalCode::from_lengths(&[1u8, 1], 25).unwrap();
+        assert!(table.rebuild(&too_wide).is_err());
+        assert_eq!(table.index_bits(), 12);
     }
 
     #[test]

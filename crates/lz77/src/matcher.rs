@@ -449,17 +449,20 @@ impl Matcher {
         // chain head, so neither is fetched twice.
         let insert_loaded = |head: &mut [u32], prev: &mut [u32], pos: usize, h: usize, existing: u32| {
             if DE {
-                // Minimal-staleness policy: keep the old entry — and skip
-                // both table writes — unless it has fallen far enough behind
-                // the cursor. Valid entries are always <= pos (tables are
-                // cleared per block), so the wrapping subtraction also
-                // classifies the empty sentinel as stale without a separate
-                // compare.
+                // Minimal-staleness policy: keep the old entry unless it has
+                // fallen far enough behind the cursor. Valid entries are
+                // always <= pos (tables are cleared per block), so the
+                // wrapping subtraction also classifies the empty sentinel as
+                // stale without a separate compare. Both writes happen
+                // either way, without a branch (on matrix only 42% of
+                // inserts are stale): a kept entry rewrites `head[h]` with
+                // itself, and the `prev` slot of a position that never
+                // enters `head` is reached by no chain, while the position
+                // a window earlier that shares the slot lies outside every
+                // later walk's window, which ends before its `prev` read.
                 let stale = (pos as u64).wrapping_sub(u64::from(existing)) > MIN_STALENESS;
-                if stale {
-                    prev[pos & window_mask] = existing;
-                    head[h] = pos as u32;
-                }
+                prev[pos & window_mask] = existing;
+                head[h] = if stale { pos as u32 } else { existing };
             } else {
                 if CHAIN {
                     prev[pos & window_mask] = existing;
